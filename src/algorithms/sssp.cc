@@ -168,8 +168,8 @@ std::vector<std::uint32_t> parallel_relaxed_sssp(
             }
           }
           // Batched re-insert: the whole run of successful relaxations goes
-          // back in one bulk_insert (one lock + one merge per chunk)
-          // instead of one lock + heap sift per key. Must happen before the
+          // back in one bulk_insert (one lock per target sub-queue) instead
+          // of one lock + heap sift per key. Must happen before the
           // pending decrement for the popped keys — see the invariant note
           // above.
           if (reinsert.size() == 1) {

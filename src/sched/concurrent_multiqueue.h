@@ -97,9 +97,9 @@ class BasicConcurrentMultiQueue {
       mq_->bulk_insert(keys, rng_, &ctx_);
     }
     /// Native batched insert (the uniform name sched::insert_batch
-    /// dispatches on): the chunked sorted-run merge of bulk_insert — sort
-    /// each chunk, one lock per target sub-queue, one splice into the
-    /// sorted base array.
+    /// dispatches on): the chunked sorted-run placement of bulk_insert —
+    /// sort the run once, one lock per target sub-queue, O(share * log)
+    /// work under it.
     void insert_batch(std::span<const Key> keys) {
       mq_->bulk_insert(keys, rng_, &ctx_);
     }
@@ -230,10 +230,24 @@ class BasicConcurrentMultiQueue {
     return total;
   }
 
+  /// Number of bulk_insert shares pushed into a sub-queue's heap instead of
+  /// merged into its base array (exact when quiescent). The spill-path twin
+  /// of compactions().
+  [[nodiscard]] std::uint64_t spills() const noexcept {
+    std::uint64_t total = 0;
+    for (const auto& q : queues_)
+      total += q->spills.load(std::memory_order_acquire);
+    return total;
+  }
+
   /// Minimum keys per bulk_insert chunk: below this the sort/merge overhead
   /// stops amortizing and the batch targets fewer sub-queues (never fewer
   /// than two — see bulk_insert).
   static constexpr std::size_t kMinBulkChunk = 64;
+  /// A share landing below a sub-queue's live tail is merged into the base
+  /// array only while the base keys it displaces number at most this many
+  /// times max(share, kMinBulkChunk); a deeper landing spills into the heap.
+  static constexpr std::size_t kMaxMergeFactor = 8;
 
  private:
   struct SubQueue {
@@ -246,15 +260,19 @@ class BasicConcurrentMultiQueue {
     // multi-megabyte heap (heap pops on cold memory dominate per-op cost
     // and are what makes a naive 1-thread MultiQueue several times slower
     // than the sequential baseline — the paper reports the two should be
-    // close). `heap` (8-ary: each sift level is one cache line of
-    // children) takes dynamic inserts — for framework executions only the
-    // poly(k) re-insertions, so it stays small and hot.
+    // close). bulk_insert appends or merges runs into `base` while that
+    // costs O(run). `heap` (8-ary: each sift level is one cache line of
+    // children) takes everything else: single-key inserts and bulk_insert
+    // shares that land too deep below the live tail to merge cheaply
+    // (SSSP relaxations, failed-delete re-insertions).
     std::vector<Key> base;
     std::size_t cursor = 0;
     DaryHeap<Key, 8> heap;
-    // Consumed-prefix compactions performed on this sub-queue (stored under
-    // the lock, atomic so quiescent readers need no lock).
+    // Consumed-prefix compactions and heap spills performed on this
+    // sub-queue (stored under the lock, atomic so quiescent readers need no
+    // lock).
     std::atomic<std::uint64_t> compactions{0};
+    std::atomic<std::uint64_t> spills{0};
 
     [[nodiscard]] Key current_min() const noexcept {
       const Key b = cursor < base.size() ? base[cursor] : kEmptyTop;
@@ -286,9 +304,20 @@ class BasicConcurrentMultiQueue {
   /// bulk_inserts. The batch is sorted once and dealt *round-robin*
   /// (strided) over its target sub-queues starting at a random offset —
   /// each target receives the still-sorted subsequence c, c+chunks, ...,
-  /// takes its lock once, and merges it into the sorted base array. Pops
-  /// stay O(1) cursor advances and the per-key cost is one sort/merge
-  /// share instead of a lock + heap sift.
+  /// takes its lock once, and places it by where its first key falls:
+  ///
+  ///   * at or above the live tail of the base array: appended (the common
+  ///     admission case — labels stream in ascending order);
+  ///   * below it, displacing at most kMaxMergeFactor * max(share,
+  ///     kMinBulkChunk) live base keys: merged into that suffix only;
+  ///   * deeper: pushed into the sub-queue's heap.
+  ///
+  /// So a target costs O(share * log) — a binary search, a bounded merge
+  /// or share heap pushes — and no step scales with the live sub-queue
+  /// (the base grows geometrically; compaction is amortized against the
+  /// pops that consumed the prefix). Either way the sub-queue stays an
+  /// exact priority queue over the same keys; pops from the base remain
+  /// O(1) cursor advances.
   ///
   /// The strided deal (rather than contiguous slices) is load-bearing for
   /// relaxation quality: contiguous slices put each sub-queue's share ~one
@@ -343,19 +372,38 @@ class BasicConcurrentMultiQueue {
         sq.cursor = 0;
         sq.compactions.fetch_add(1, std::memory_order_release);
       }
-      const auto mid = static_cast<std::ptrdiff_t>(sq.base.size());
-      sq.base.reserve(sq.base.size() + share);
-      for (std::size_t i = c; i < sorted.size(); i += chunks)
-        sq.base.push_back(sorted[i]);
-      // The strided subsequence is already sorted. Admission streams labels
-      // in ascending order, so a batch usually lands entirely above the
-      // live tail — then the concatenation is already sorted and the
-      // O(live) merge can be skipped.
-      if (mid > static_cast<std::ptrdiff_t>(sq.cursor) &&
-          sq.base[static_cast<std::size_t>(mid)] < sq.base[static_cast<std::size_t>(mid) - 1]) {
-        std::inplace_merge(
-            sq.base.begin() + static_cast<std::ptrdiff_t>(sq.cursor),
-            sq.base.begin() + mid, sq.base.end());
+      // How many live base keys the share's first key displaces, searched
+      // only in the last limit + 1 of them: a count past limit means spill.
+      const std::size_t limit =
+          kMaxMergeFactor * std::max(share, kMinBulkChunk);
+      const std::size_t window =
+          std::min(sq.base.size() - sq.cursor, limit + 1);
+      const std::size_t displaced = static_cast<std::size_t>(
+          sq.base.end() -
+          std::upper_bound(sq.base.end() - static_cast<std::ptrdiff_t>(window),
+                           sq.base.end(), sorted[c]));
+      if (displaced > limit) {
+        for (std::size_t i = c; i < sorted.size(); i += chunks)
+          sq.heap.push(sorted[i]);
+        sq.spills.fetch_add(1, std::memory_order_release);
+      } else {
+        // Merge from the back: the displaced suffix and the strided share
+        // fill the grown tail largest-first, so only [end - displaced, end)
+        // moves. With displaced == 0 this is a plain append.
+        std::size_t from = sq.base.size();
+        std::size_t to = from + share;
+        // resize grows capacity geometrically; an exact-size reserve here
+        // would reallocate and copy the whole base on every call.
+        sq.base.resize(to);
+        for (std::size_t left = share; left > 0;) {
+          const Key k = sorted[c + (left - 1) * chunks];
+          if (from > sq.cursor && sq.base[from - 1] > k) {
+            sq.base[--to] = sq.base[--from];
+          } else {
+            sq.base[--to] = k;
+            --left;
+          }
+        }
       }
       sq.refresh_top();
     }

@@ -85,7 +85,7 @@ std::size_t pop_batch(S& s, std::size_t k, std::vector<Priority>& out) {
 /// of a pop-only special case. Prefers the target's native insert_batch
 /// (one coordination round trip — a sorted-run splice into one
 /// sub-structure, or one lock for a serialized adapter), then a live
-/// bulk_insert (the MultiQueue's chunked sorted merge), and degrades to
+/// bulk_insert (the MultiQueue's chunked sorted-run placement), and degrades to
 /// per-key inserts elsewhere, so every backend accepts batched insertion
 /// with unchanged multiset semantics.
 ///

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -424,6 +425,78 @@ TEST(ConcurrentMultiQueue, BulkInsertCompactionTriggersAndLosesNothing) {
   EXPECT_EQ(popped, kN);
   EXPECT_TRUE(q.empty());
   for (std::uint32_t i = 0; i < kN; ++i) ASSERT_TRUE(seen[i]) << "label " << i;
+}
+
+// With 2 sub-queues every best-of-2 pop returns the global minimum, so each
+// pop must equal the minimum of a std::multiset mirror and the final drain
+// comes out exactly sorted — a test of each sub-queue being an exact
+// priority queue whichever way bulk_insert placed a share. Three phases
+// drive the three placements: runs above the live tail (append), runs just
+// below it (bounded suffix merge), and runs far below a long live tail
+// (heap spill), interleaved with partial drains.
+template <typename Key>
+void drain_stays_sorted_across_bulk_insert_placements(Key scale) {
+  using Queue = BasicConcurrentMultiQueue<Key>;
+  Queue q(2, 47);
+  std::multiset<Key> mirror;
+  auto insert = [&](const std::vector<Key>& run) {
+    q.bulk_insert(run);
+    mirror.insert(run.begin(), run.end());
+  };
+  auto pop = [&](std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto k = q.approx_get_min();
+      ASSERT_TRUE(k.has_value());
+      ASSERT_EQ(*k, *mirror.begin()) << mirror.size() << " keys queued";
+      mirror.erase(mirror.begin());
+    }
+  };
+  auto run_of = [&](Key first, std::size_t n, Key step) {
+    std::vector<Key> run(n);
+    for (std::size_t i = 0; i < n; ++i)
+      run[i] = static_cast<Key>((first + static_cast<Key>(i) * step) * scale);
+    return run;
+  };
+  constexpr std::size_t kShare = Queue::kMinBulkChunk;
+  constexpr std::size_t kLimit = Queue::kMaxMergeFactor * kShare;
+
+  // Append: ascending runs, each above everything already queued.
+  for (Key lo = 1000; lo < 1000 + 8 * 2 * kShare; lo += 2 * kShare)
+    insert(run_of(lo, 2 * kShare, 1));
+  ASSERT_EQ(q.spills(), 0u);
+  pop(kShare);
+
+  // Bounded merge: each run straddles the live tail, so its share
+  // interleaves with the last few dozen base keys only.
+  const Key tail = static_cast<Key>(1000 + 8 * 2 * kShare);
+  for (Key r = 0; r < 4; ++r)
+    insert(run_of(static_cast<Key>(tail - kShare + r), 2 * kShare, 1));
+  ASSERT_EQ(q.spills(), 0u);
+  pop(kShare);
+
+  // Spill: a long live tail, then runs that land below all of it.
+  insert(run_of(tail + 1000, 8 * kLimit, 1));
+  const std::uint64_t before = q.spills();
+  for (Key lo = 1; lo < 1 + 4 * 2 * kShare; lo += 2 * kShare) {
+    insert(run_of(lo, 2 * kShare, 1));
+    pop(kShare / 4);
+  }
+  EXPECT_GT(q.spills(), before);
+
+  ASSERT_EQ(q.size(), mirror.size());
+  pop(mirror.size());
+  EXPECT_TRUE(q.empty());
+  EXPECT_FALSE(q.approx_get_min().has_value());
+}
+
+TEST(ConcurrentMultiQueue, TwoQueueDrainIsSortedAcrossBulkInsertPlacements) {
+  drain_stays_sorted_across_bulk_insert_placements<Priority>(1);
+}
+
+TEST(ConcurrentMultiQueue, TwoQueueDrainIsSortedWithSsspShapedKeys) {
+  // SSSP keys: (distance << 32) | vertex.
+  drain_stays_sorted_across_bulk_insert_placements<std::uint64_t>(
+      std::uint64_t{1} << 32);
 }
 
 TEST(ConcurrentMultiQueue, SingleSubQueuePairPopsExactWithBulkLoad) {

@@ -528,5 +528,104 @@ TEST(SchedConformance, StripedConcurrentDrainKeepsEveryLabelExactlyOnce) {
   });
 }
 
+// SSSP-shaped contention on the MultiQueue's live bulk_insert: four threads
+// insert runs of (distance << 32 | id) keys, as SSSP's relaxation runs do,
+// while two more threads pop. Even runs land far below a large bulk-loaded
+// live tail (heap spill), odd runs just below its end (bounded suffix
+// merge). Every key must come out exactly once. (This test is in the TSan
+// and ASan/UBSan rows' ctest filter: it is their race coverage for both
+// placements.)
+TEST(SchedConformance, MultiQueueBulkInsertBelowLiveTailKeepsEveryKeyExactlyOnce) {
+  using Key = std::uint64_t;
+  constexpr unsigned kInserters = 4;
+  constexpr unsigned kPoppers = 2;
+  constexpr std::uint32_t kTail = 32768;
+  constexpr std::uint32_t kRuns = 64;
+  constexpr std::uint32_t kRunLen = 96;
+  constexpr std::uint32_t kN = kTail + kInserters * kRuns * kRunLen;
+  constexpr Key kTailDist = Key{1} << 20;
+  const auto key = [](Key dist, std::uint32_t id) { return dist << 32 | id; };
+
+  BasicConcurrentMultiQueue<Key> queue(4 * kInserters, 99);
+  std::vector<Key> tail(kTail);
+  for (std::uint32_t i = 0; i < kTail; ++i) tail[i] = key(kTailDist + i, i);
+  queue.bulk_load(tail);
+
+  std::vector<std::atomic<std::uint8_t>> seen(kN);
+  std::atomic<std::uint32_t> popped{0};
+  std::atomic<std::uint32_t> duplicates{0};
+  std::atomic<std::uint32_t> out_of_range{0};
+  auto record = [&](const std::vector<Key>& buf) {
+    for (const Key k : buf) {
+      const auto id = static_cast<std::uint32_t>(k);
+      if (id >= kN) {
+        out_of_range.fetch_add(1, std::memory_order_relaxed);
+      } else if (seen[id].fetch_add(1, std::memory_order_relaxed) != 0) {
+        duplicates.fetch_add(1, std::memory_order_relaxed);
+      }
+      popped.fetch_add(1, std::memory_order_relaxed);
+    }
+  };
+  auto drain = [&](auto& handle, std::vector<Key>& buf) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    std::uint32_t dry_polls = 0;
+    while (popped.load(std::memory_order_relaxed) < kN) {
+      buf.clear();
+      if (handle.approx_get_min_batch(16, buf) > 0) {
+        record(buf);
+        dry_polls = 0;
+      } else if ((++dry_polls & 0xfff) == 0 &&
+                 std::chrono::steady_clock::now() > deadline) {
+        break;
+      }
+    }
+  };
+
+  std::vector<std::thread> workers;
+  workers.reserve(kInserters + kPoppers);
+  for (unsigned t = 0; t < kInserters; ++t) {
+    workers.emplace_back([&, t] {
+      auto handle = queue.get_handle();
+      util::Rng rng(500 + t);
+      std::vector<Key> run;
+      std::vector<Key> buf;
+      for (std::uint32_t r = 0; r < kRuns; ++r) {
+        run.clear();
+        for (std::uint32_t j = 0; j < kRunLen; ++j) {
+          const std::uint32_t id = kTail + (t * kRuns + r) * kRunLen + j;
+          const Key dist = r % 2 == 0
+                               ? util::bounded(rng, 1000)
+                               : kTailDist + kTail - 1 - util::bounded(rng, 64);
+          run.push_back(key(dist, id));
+        }
+        handle.bulk_insert(run);
+        buf.clear();
+        handle.approx_get_min_batch(8, buf);
+        record(buf);
+      }
+      drain(handle, buf);
+    });
+  }
+  for (unsigned t = 0; t < kPoppers; ++t) {
+    workers.emplace_back([&] {
+      auto handle = queue.get_handle();
+      std::vector<Key> buf;
+      drain(handle, buf);
+    });
+  }
+  for (auto& w : workers) w.join();
+
+  EXPECT_GT(queue.spills(), 0u);
+  EXPECT_EQ(popped.load(), kN);
+  EXPECT_EQ(duplicates.load(), 0u);
+  EXPECT_EQ(out_of_range.load(), 0u);
+  for (std::uint32_t id = 0; id < kN; ++id) {
+    ASSERT_EQ(seen[id].load(), 1u) << "key id " << id;
+  }
+  EXPECT_TRUE(queue.empty());
+  EXPECT_EQ(queue.approx_get_min(), std::nullopt);
+}
+
 }  // namespace
 }  // namespace relax::sched
