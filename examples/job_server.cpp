@@ -21,10 +21,11 @@
 // SprayList, and deterministic k-bounded jobs on the same pool.
 //
 // --pop-batch selects how many labels each worker claims per scheduler
-// touch (default 1; 'auto' or 'auto:<max>' enables the adaptive
-// controller). Batching amortizes the per-pop sample/lock round trip — the
-// audit requests report the matching O(pop_batch * q) rank-error envelope,
-// so the latency/quality trade is visible in the output.
+// touch (default auto: the adaptive controller, capped at 64 or at
+// 'auto:<max>'; a plain number fixes the claim size). Batching amortizes
+// the per-pop sample/lock round trip — the audit requests report the
+// matching O(pop_batch * q) rank-error envelope, so the latency/quality
+// trade is visible in the output.
 //
 // --metrics=<path|-> attaches an obs::MetricsRegistry and dumps it after
 // the serving loop drains: per-worker engine counters plus the server's
@@ -37,7 +38,7 @@
 //
 // Build & run:  ./examples/job_server [--requests=32] [--threads=0]
 //                                     [--inflight=4] [--audit=8]
-//                                     [--pop-batch=1|auto[:max]]
+//                                     [--pop-batch=auto[:max]|<k>]
 //                                     [--backend=multiqueue-c2|...|mix]
 //                                     [--numa=off|auto|virtual:<K>]
 //                                     [--metrics=<path|->]
@@ -79,7 +80,7 @@ int main(int argc, char** argv) {
   const int audit_every = static_cast<int>(cli.get_int("audit", 8));
 
   const auto pb =
-      relax::server::cli::parse_pop_batch(cli.get_string("pop-batch", "1"));
+      relax::server::cli::parse_pop_batch(cli.get_string("pop-batch", "auto"));
   if (!pb) return 2;
 
   const auto backends = relax::server::cli::resolve_backends(cli.get_string(

@@ -98,6 +98,14 @@ class AtomicMisProblem {
 
   core::Outcome try_process(core::Task v);
 
+  /// Optional engine hook (core/problem.h): pulls in the lines try_process
+  /// reads first — v's state, v's label and the head of v's adjacency.
+  [[gnu::always_inline]] void prefetch(core::Task v) const noexcept {
+    __builtin_prefetch(&state_[v]);
+    __builtin_prefetch(&pri_->labels[v]);
+    __builtin_prefetch(g_->neighbors(v).data());
+  }
+
   [[nodiscard]] std::vector<std::uint8_t> result() const;
 
  private:

@@ -58,13 +58,15 @@ struct SsspOptions {
   unsigned num_threads = 0;      // 0 = hardware concurrency
   unsigned queue_factor = 4;     // MultiQueue sub-queues per thread
   std::uint64_t seed = 1;        // scheduler + weight randomness
-  std::uint32_t pop_batch = 1;   // keys claimed per scheduler touch
-  /// Adaptive claim sizing: pop_batch becomes the cap and each worker's
-  /// sched::BatchController floats the claim between 1 (near drain) and
-  /// the cap (sustained load), consulting the queue's striped size()
-  /// occasionally — the same occupancy-aware controller the engine's
-  /// framework executors run (engine/job.h).
-  bool pop_batch_auto = false;
+  std::uint32_t pop_batch = 64;  // keys claimed per scheduler touch (the
+                                 // cap in adaptive mode); the default is
+                                 // engine::JobConfig::kDefaultAutoPopBatch
+  /// Adaptive claim sizing, on by default: pop_batch becomes the cap and
+  /// each worker's sched::BatchController floats the claim between 1 (near
+  /// drain) and the cap (sustained load), consulting the queue's striped
+  /// size() occasionally — the same occupancy-aware controller the
+  /// engine's framework executors run (engine/job.h).
+  bool pop_batch_auto = true;
   /// Topology placement (--numa): off = flat, auto = sysfs sockets (flat
   /// fallback), virtual:K = synthetic domains. Threads pin in socket-fill
   /// order and the MultiQueue is striped per domain, exactly like the
@@ -98,6 +100,7 @@ inline std::vector<std::uint32_t> parallel_relaxed_sssp(
   options.queue_factor = queue_factor;
   options.seed = seed;
   options.pop_batch = pop_batch;
+  options.pop_batch_auto = false;
   return parallel_relaxed_sssp(g, weights, source, options, stats);
 }
 

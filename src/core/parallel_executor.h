@@ -46,18 +46,15 @@ struct ParallelOptions {
                                  // run_parallel_relaxed only — backend names
                                  // pin their own sampling width)
   std::uint32_t relaxation_k = 0;  // k for window/sim backends (0 = derive)
-  std::uint32_t pop_batch = 1;   // labels claimed per scheduler touch
-                                 // (batched acquisition; rank cost scales
-                                 // to O(pop_batch * q), see
-                                 // sched::batched_rank_bound)
-  bool pop_batch_auto = false;   // adaptive claim size: pop_batch becomes
-                                 // the cap, each worker's
-                                 // sched::BatchController scales between 1
-                                 // (near drain) and the cap (under load)
-                                 // from claim feedback + the backend's
-                                 // striped size(); honored by the engine
-                                 // jobs AND by SSSP's standalone executor
-                                 // (algorithms::SsspOptions mirrors it)
+  // Labels claimed per scheduler touch (batched acquisition; rank cost
+  // scales to O(pop_batch * q), see sched::batched_rank_bound). With
+  // pop_batch_auto, the default, pop_batch is the cap and each worker's
+  // sched::BatchController scales between 1 (near drain) and the cap
+  // (under load) from claim feedback + the backend's striped size().
+  // The engine jobs and SSSP's standalone executor both honor it
+  // (algorithms::SsspOptions mirrors it).
+  std::uint32_t pop_batch = engine::JobConfig::kDefaultAutoPopBatch;
+  bool pop_batch_auto = true;
   std::uint64_t seed = 1;        // scheduler randomness
   std::uint32_t weight = 1;      // QoS tenant weight (engine/qos.h);
                                  // meaningful when the job shares an

@@ -18,6 +18,18 @@
 // executor must make try_process linearizable (atomic status arrays — see
 // algorithms/*_parallel adapters) such that the decided outcome for every
 // task equals the sequential execution under the same pi, for any schedule.
+//
+// Optional hook, not part of the Problem concept:
+//
+//   void prefetch(Task t) const noexcept;
+//
+// A hint that try_process(t) will run soon. The relaxed engine job
+// (engine/job.h) calls it a few labels ahead of processing each claimed
+// batch, so a problem can issue cache prefetches for the state try_process
+// will read. It must not change any observable state, and it may be called
+// for a task that is then never processed in this claim. Mark it
+// [[gnu::always_inline]]: the hint only pays if it inlines into the
+// engine's claim loop.
 #pragma once
 
 #include <concepts>

@@ -56,14 +56,20 @@
 // pool's whole lifetime (engine/worker_pool.h), so a cached handle is only
 // ever driven by the thread that created it.
 //
-// With JobConfig::pop_batch_auto the claimed batch size adapts per worker
-// through a sched::BatchController session: a full batch doubles the next
-// claim (up to the pop_batch cap — sustained load), a short or empty claim
+// By default (JobConfig::pop_batch_auto) the claimed batch size adapts per
+// worker through a sched::BatchController session: a full batch doubles the
+// next claim (up to the cap — sustained load), a short or empty claim
 // resets it to 1 (the chosen sub-structure is running dry; near drain,
 // large batches only buy rank error, see sched::batched_rank_bound), and
 // every few dozen claims the controller consults the backend's striped
 // size() to set the claim from *global* occupancy — a deep backlog jumps
-// straight to the cap, a near-drained scheduler pins single pops.
+// straight to the cap, a near-drained scheduler pins single pops. The cap
+// is pop_batch, lowered for small jobs to n / (pool width *
+// JobConfig::kAutoCapTasksPerClaim).
+//
+// Problems may expose an optional prefetch(task) hook (core/problem.h);
+// run_slice then warms each claimed label's state a few labels before
+// try_process reads it.
 //
 // Variants:
 //   RelaxedJob<P, Queue>        relaxed loop over a caller-owned scheduler
@@ -84,13 +90,16 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <charconv>
+#include <chrono>
 #include <cstdint>
 #include <numeric>
 #include <optional>
 #include <span>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "core/execution_stats.h"
@@ -137,22 +146,31 @@ struct JobConfig {
   /// only bounds memory against nonsense values. RelaxedJob clamps to it;
   /// CLI front-ends clamp at parse time so reported == effective.
   static constexpr std::uint32_t kMaxPopBatch = 1u << 16;
-  std::uint32_t pop_batch = 1;     // labels claimed per scheduler touch: k>1
-                                   // amortizes the sample/lock/CAS round
-                                   // trip over k pops at an O(k * q) rank
-                                   // cost (see sched::batched_rank_bound)
-  /// Adaptive batch sizing (CLI: --pop-batch=auto[:max]): pop_batch becomes
-  /// the cap and each worker's sched::BatchController picks its claim size
-  /// from observed occupancy — full batches double the next claim toward
-  /// the cap, short or empty claims (the sampled sub-structure ran dry: the
+  /// Adaptive cap used by default and by --pop-batch=auto when no explicit
+  /// max is given.
+  static constexpr std::uint32_t kDefaultAutoPopBatch = 64;
+  /// Job-size limit on the adaptive cap: an adaptive job of n tasks on a
+  /// pool of W workers claims at most n / (W * kAutoCapTasksPerClaim)
+  /// labels per touch (never below 1, never above pop_batch). Small jobs
+  /// drain in a few claim rounds at cap 64, and every label a claim pulls
+  /// ahead of its predecessors comes back as a failed delete; large jobs
+  /// keep the full cap. Fixed-size claims are left alone.
+  static constexpr std::uint32_t kAutoCapTasksPerClaim = 256;
+  /// Labels claimed per scheduler touch (the cap in adaptive mode): k>1
+  /// amortizes the sample/lock/CAS round trip over k pops at an O(k * q)
+  /// rank cost (see sched::batched_rank_bound).
+  std::uint32_t pop_batch = kDefaultAutoPopBatch;
+  /// Adaptive batch sizing, on by default (CLI: --pop-batch=auto[:max];
+  /// a plain --pop-batch=<k> turns it off): pop_batch becomes the cap and
+  /// each worker's sched::BatchController picks its claim size from
+  /// observed occupancy — full batches double the next claim toward the
+  /// cap, short or empty claims (the sampled sub-structure ran dry: the
   /// near-drain signal) reset it to 1 so a draining queue is not charged
   /// the O(k*q) rank cost for throughput it can no longer deliver, and an
   /// occasional consult of the backend's striped size() jumps straight to
   /// the cap under a deep backlog (or pins 1 when the whole scheduler is
   /// near drain, whatever the per-worker feedback says).
-  bool pop_batch_auto = false;
-  /// Cap used by --pop-batch=auto when no explicit max is given.
-  static constexpr std::uint32_t kDefaultAutoPopBatch = 64;
+  bool pop_batch_auto = true;
   bool monitor_relaxation = false;  // audit mode: serialize + measure quality
   std::uint32_t monitor_stride = 64;  // inversion tracking sample stride
 
@@ -196,8 +214,8 @@ struct PopBatchFlag {
 };
 
 /// Parses --pop-batch=<k>|auto|auto:<max>. Unparseable or zero values
-/// degrade to the unbatched default (batch 1, or the default auto cap)
-/// with `valid` cleared; in-range numbers above kMaxPopBatch are clamped
+/// degrade to batch 1 (or, after "auto:", the default auto cap) with
+/// `valid` cleared; in-range numbers above kMaxPopBatch are clamped
 /// (and stay valid) so reported == effective.
 inline PopBatchFlag parse_pop_batch_flag(std::string_view value) {
   PopBatchFlag flag;
@@ -372,17 +390,25 @@ class RelaxedJob : public TaskJobBase {
     // own on its first slice (activation runs on the submitting thread,
     // which must not construct handles the pool threads will drive).
     pool_width_ = pool_width;
+    // An adaptive job's cap also scales with the job: see
+    // JobConfig::kAutoCapTasksPerClaim.
+    const std::uint32_t cap =
+        adaptive_ ? std::clamp<std::uint32_t>(
+                        n_ / (std::max(pool_width, 1u) *
+                              JobConfig::kAutoCapTasksPerClaim),
+                        1, pop_batch_)
+                  : pop_batch_;
     workers_ = std::vector<util::Padded<WorkerState>>(pool_width);
     for (auto& ws : workers_) {
-      ws->popped.reserve(pop_batch_);
-      ws->reinsert.reserve(pop_batch_);
+      ws->popped.reserve(cap);
+      ws->reinsert.reserve(cap);
       // Watermarks scale with the pool: occupancy is global, and
       // pool_width workers drain up to width * cap labels per claim round.
       // Measured mode re-derives them from the observed drain rate once a
       // consult window of claim feedback exists; the static width-scaled
       // marks remain the cold-start values.
       ws->controller = sched::BatchController(
-          pop_batch_, adaptive_, /*high_watermark=*/0,
+          cap, adaptive_, /*high_watermark=*/0,
           sched::BatchController::kDefaultConsultPeriod, pool_width,
           /*measured_watermarks=*/true);
     }
@@ -530,9 +556,23 @@ class RelaxedJob : public TaskJobBase {
       // retirement sum cannot reach n — termination can never fire while
       // labels sit here, provided none survive this loop. The same holds
       // for ws.reinsert: a buffered re-insertion is an unretired task.
-      for (const sched::Priority label : buffer) {
+      //
+      // The claim names the next labels, so their problem state is
+      // prefetched kPrefetchAhead labels ahead of processing: the random
+      // state/priority/adjacency reads are what try_process waits on.
+      if constexpr (kHasPrefetch) {
+        for (std::size_t i = 0; i < std::min(got, kPrefetchAhead); ++i)
+          problem_->prefetch(pri_->order[buffer[i]]);
+      }
+      std::uint32_t repeats = 0;  // most times a label here was blocked
+      for (std::size_t i = 0; i < got; ++i) {
+        if constexpr (kHasPrefetch) {
+          if (i + kPrefetchAhead < got)
+            problem_->prefetch(pri_->order[buffer[i + kPrefetchAhead]]);
+        }
         ++iters;
         ++stats.iterations;
+        const sched::Priority label = buffer[i];
         const core::Task task = pri_->order[label];
         switch (problem_->try_process(task)) {
           case core::Outcome::kProcessed:
@@ -542,6 +582,7 @@ class RelaxedJob : public TaskJobBase {
           case core::Outcome::kNotReady:
             ++stats.failed_deletes;
             ws.reinsert.push_back(label);
+            repeats = std::max(repeats, ws.note_blocked(label));
             break;
           case core::Outcome::kRetired:
             ++stats.dead_skips;
@@ -556,6 +597,7 @@ class RelaxedJob : public TaskJobBase {
       // hold dependency chains captive for a scheduler quantum while its
       // peers churn failed deletes against them.
       flush_reinserts(handle, ws);
+      back_off(repeats);
     }
     // A no-op today (every touch flushed above), but the invariant — no
     // label may ever outlive its slice outside the scheduler — must hold
@@ -597,8 +639,25 @@ class RelaxedJob : public TaskJobBase {
   }
 
  private:
+  /// Optional problem hook (core/problem.h): warm a task's state before
+  /// try_process reaches it.
+  static constexpr bool kHasPrefetch =
+      requires(const P& p, core::Task t) { p.prefetch(t); };
+  /// Labels between a prefetch and the try_process that uses it.
+  static constexpr std::size_t kPrefetchAhead = 8;
+  /// Pause after a claim whose label was blocked twice, in cpu_relax
+  /// rounds; it doubles with each further block, kMaxBlockedDoublings
+  /// times (64 << 8 rounds ≈ 0.3 ms at 17 ns each). After that the worker
+  /// sleeps kBlockedSleep instead, giving its CPU to the stalled peer.
+  static constexpr std::uint32_t kMinBlockedPause = 64;
+  static constexpr std::uint32_t kMaxBlockedDoublings = 9;
+  static constexpr std::chrono::microseconds kBlockedSleep{100};
+  /// log2 of the per-worker table of recently blocked labels.
+  static constexpr unsigned kBlockedTableLog2 = 8;
+
   /// One worker's scheduler session for this job: the cached handle, the
-  /// batched-path buffers, and the adaptive claim controller. Owned by the
+  /// batched-path buffers, the adaptive claim controller and the table of
+  /// recently blocked labels that drives back_off. Owned by the
   /// job, keyed by the pool's stable worker id, and only ever touched by
   /// that worker's thread (run_slice) or by the reaper after quiescence
   /// (retire).
@@ -608,7 +667,44 @@ class RelaxedJob : public TaskJobBase {
     std::vector<sched::Priority> popped;    // batched-pop landing buffer
     std::vector<sched::Priority> reinsert;  // kNotReady labels awaiting flush
     sched::BatchController controller;      // claim sizing (auto mode)
+    // Labels this worker recently found kNotReady, hashed, with how many
+    // times it did (label + 1, so the zeroed table matches none).
+    struct Blocked {
+      sched::Priority label_plus1 = 0;
+      std::uint32_t times = 0;
+    };
+    std::array<Blocked, 1u << kBlockedTableLog2> blocked{};
+
+    /// Records that `label` was kNotReady; returns how many times this
+    /// worker has found it so (a table collision restarts the count).
+    std::uint32_t note_blocked(sched::Priority label) noexcept {
+      Blocked& b = blocked[(label * 0x9E3779B1u) >> (32 - kBlockedTableLog2)];
+      if (b.label_plus1 != label + 1) b = {label + 1, 0};
+      return ++b.times;
+    }
   };
+
+  /// Contention backoff between claims. A label this worker finds
+  /// kNotReady again is stuck behind a blocker nobody is processing —
+  /// typically one held in the claim of a peer the OS has descheduled.
+  /// Until that peer runs again, every other worker would re-pop the
+  /// labels stuck behind it, one failed delete each, for the whole stall.
+  /// So after a claim in which some label was blocked for the r-th time
+  /// (r >= 2), the worker pauses kMinBlockedPause << (r - 2) rounds, and
+  /// sleeps once that ladder is spent: spinning would keep a descheduled
+  /// peer off an oversubscribed CPU for longer. A label blocked once, the
+  /// normal relaxed case, costs no pause. The blocked labels are already
+  /// back in the scheduler, so a pausing worker holds nothing its peers
+  /// need.
+  static void back_off(std::uint32_t repeats) {
+    if (repeats < 2) return;
+    if (repeats - 2 >= kMaxBlockedDoublings) {
+      std::this_thread::sleep_for(kBlockedSleep);
+      return;
+    }
+    const std::uint32_t pause = kMinBlockedPause << (repeats - 2);
+    for (std::uint32_t i = 0; i < pause; ++i) util::cpu_relax();
+  }
 
   /// Flushes the worker's buffered kNotReady labels back into the
   /// scheduler as one batched insert (the backend's native path where one

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -171,6 +172,11 @@ void JobServer::handle_accept() {
       if (errno == EINTR) continue;
       return;  // transient accept failure; the listener stays armed
     }
+    // Replies are small frames written as soon as a job completes; with
+    // Nagle on, each one would wait for the client's next request to carry
+    // the ACK of the previous reply.
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     const std::uint64_t id = next_conn_id_++;
     Connection conn;
     conn.fd = fd;

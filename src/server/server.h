@@ -87,8 +87,8 @@ struct ServerOptions {
 
   /// Defaults applied when a request leaves the field at 0 / "".
   std::string default_backend;  // "" = registry default
-  std::uint32_t default_pop_batch = 1;
-  bool default_pop_batch_auto = false;
+  std::uint32_t default_pop_batch = engine::JobConfig::kDefaultAutoPopBatch;
+  bool default_pop_batch_auto = true;
   /// QoS weight applied when a request carries weight 0 ("use the server
   /// default"). Requests that predate the weight field decode as 1 and
   /// never take this value. Clamped to [1, JobConfig::kMaxWeight].

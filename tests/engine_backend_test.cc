@@ -14,6 +14,7 @@
 #include "engine/engine.h"
 #include "graph/generators.h"
 #include "graph/permutation.h"
+#include "obs/metrics.h"
 #include "sched/backend_registry.h"
 
 namespace relax::engine {
@@ -91,15 +92,22 @@ TEST(EngineBackend, AllBackendsInFlightTogetherStayDeterministic) {
 // decides exactly the sequential MIS, every task retires exactly once, and
 // termination never fires while labels sit buffered (a lost label would
 // hang the wait(); a duplicate would break the counting invariant).
+//
+// Fixed claims of 8 (pop_batch_auto off), so each backend's native k-claim
+// is exercised: the registry's largest claim must be exactly 8.
 TEST(EngineBackend, BatchedAcquisitionProducesTheSequentialMis) {
   const MisFixture fix;
-  SchedulingEngine eng(engine_opts(4, 2));
   for (const sched::BackendInfo& info : sched::backend_registry()) {
     SCOPED_TRACE(std::string("backend: ") + std::string(info.name));
+    obs::MetricsRegistry registry;
+    EngineOptions opts = engine_opts(4, 2);
+    opts.metrics = &registry;
+    SchedulingEngine eng(opts);
     algorithms::AtomicMisProblem problem(fix.g, fix.pri);
     JobConfig cfg;
     cfg.seed = 51;
     cfg.pop_batch = 8;
+    cfg.pop_batch_auto = false;
     const auto stats =
         eng.submit_relaxed_backend(problem, fix.pri, info, cfg).wait();
     EXPECT_EQ(problem.result(), fix.expected);
@@ -107,6 +115,7 @@ TEST(EngineBackend, BatchedAcquisitionProducesTheSequentialMis) {
     EXPECT_EQ(stats.processed + stats.dead_skips, fix.g.num_vertices());
     EXPECT_EQ(stats.iterations,
               stats.processed + stats.failed_deletes + stats.dead_skips);
+    EXPECT_EQ(registry.snapshot().claim_size.max(), 8u);
   }
 }
 
@@ -185,11 +194,15 @@ TEST(EngineBackend, PopBatchFlagParsing) {
 // batched_rank_bound even under real concurrency.
 TEST(EngineBackend, MonitoredBatchedJobStaysInBatchEnvelope) {
   const MisFixture fix(1500, 9000);
-  SchedulingEngine eng(engine_opts(4, 1));
+  obs::MetricsRegistry registry;
+  EngineOptions opts = engine_opts(4, 1);
+  opts.metrics = &registry;
+  SchedulingEngine eng(opts);
   algorithms::AtomicMisProblem problem(fix.g, fix.pri);
   JobConfig cfg;
   cfg.seed = 61;
-  cfg.pop_batch = 8;
+  cfg.pop_batch = 8;  // fixed k, so the envelope below is the one measured
+  cfg.pop_batch_auto = false;
   cfg.monitor_relaxation = true;
   cfg.monitor_stride = 16;
   const auto stats =
@@ -203,6 +216,7 @@ TEST(EngineBackend, MonitoredBatchedJobStaysInBatchEnvelope) {
   const std::uint64_t bound = sched::batched_rank_bound(
       sched::backend_or_throw("multiqueue-c2"), params, cfg.pop_batch);
   EXPECT_LE(stats.mean_rank_error, 2.0 * static_cast<double>(bound));
+  EXPECT_EQ(registry.snapshot().claim_size.max(), 8u);
 }
 
 // Deterministic baselines (kbounded, exact) on a single-worker engine are

@@ -19,8 +19,10 @@
 #include "algorithms/list_contraction.h"
 #include "algorithms/matching.h"
 #include "algorithms/mis.h"
+#include "algorithms/sssp.h"
 #include "engine/engine.h"
 #include "graph/generators.h"
+#include "obs/metrics.h"
 #include "sched/concurrent_multiqueue.h"
 #include "sched/kbounded.h"
 #include "sched/spraylist.h"
@@ -429,6 +431,129 @@ TEST(SchedulingEngine, DestructorDrainsOutstandingJobs) {
     // No wait(): the destructor must finish all four jobs.
   }
   for (auto& p : problems) EXPECT_EQ(p.result(), expected);
+}
+
+// The shipped default claims in batches: a default-JobConfig job is
+// adaptive, so the registry sees more labels than claims, and the result
+// is still the sequential MIS. SSSP's standalone executor ships the same
+// default.
+TEST(SchedulingEngine, DefaultConfigClaimsInBatches) {
+  EXPECT_TRUE(JobConfig{}.pop_batch_auto);
+  EXPECT_EQ(JobConfig{}.pop_batch, JobConfig::kDefaultAutoPopBatch);
+  EXPECT_TRUE(algorithms::SsspOptions{}.pop_batch_auto);
+  EXPECT_EQ(algorithms::SsspOptions{}.pop_batch,
+            JobConfig::kDefaultAutoPopBatch);
+  const Graph g = graph::gnm(50000, 250000, 101);
+  const auto pri = graph::random_priorities(50000, 103);
+  obs::MetricsRegistry registry;
+  auto opts = engine_opts(4, 1);
+  opts.metrics = &registry;
+  SchedulingEngine eng(opts);
+  algorithms::AtomicMisProblem problem(g, pri);
+  eng.submit_relaxed(problem, pri).wait();
+  EXPECT_EQ(problem.result(), algorithms::sequential_greedy_mis(g, pri));
+  std::uint64_t pops = 0, claims = 0;
+  for (const auto& w : registry.snapshot().workers) {
+    pops += w.pops;
+    claims += w.claims;
+  }
+  EXPECT_GT(pops, claims);
+}
+
+// Job-size claim cap: a 4k-task adaptive job on 2 workers never claims
+// more than n / (2 * kAutoCapTasksPerClaim) labels per touch.
+TEST(SchedulingEngine, SmallAdaptiveJobCapsClaimsByJobSize) {
+  constexpr std::uint32_t kN = 4000;
+  const Graph g = graph::gnm(kN, 24000, 107);
+  const auto pri = graph::random_priorities(kN, 109);
+  obs::MetricsRegistry registry;
+  auto opts = engine_opts(2, 1);
+  opts.metrics = &registry;
+  SchedulingEngine eng(opts);
+  algorithms::AtomicMisProblem problem(g, pri);
+  eng.submit_relaxed(problem, pri).wait();
+  EXPECT_EQ(problem.result(), algorithms::sequential_greedy_mis(g, pri));
+  const obs::MetricsSnapshot snap = registry.snapshot();
+  EXPECT_GT(snap.claim_size.max(), 1u);  // the job did claim in batches
+  EXPECT_LE(snap.claim_size.max(), kN / (2 * JobConfig::kAutoCapTasksPerClaim));
+}
+
+/// AtomicMisProblem plus the optional prefetch hook, counting its calls.
+class CountingPrefetchMis {
+ public:
+  CountingPrefetchMis(const Graph& g, const graph::Priorities& pri)
+      : inner_(g, pri) {}
+  [[nodiscard]] std::uint32_t num_tasks() const noexcept {
+    return inner_.num_tasks();
+  }
+  core::Outcome try_process(core::Task t) { return inner_.try_process(t); }
+  void prefetch(core::Task t) const noexcept {
+    calls_.fetch_add(1, std::memory_order_relaxed);
+    if (t >= inner_.num_tasks())
+      out_of_range_.fetch_add(1, std::memory_order_relaxed);
+  }
+  [[nodiscard]] std::vector<std::uint8_t> result() const {
+    return inner_.result();
+  }
+  [[nodiscard]] std::uint64_t calls() const { return calls_.load(); }
+  [[nodiscard]] std::uint64_t out_of_range() const {
+    return out_of_range_.load();
+  }
+
+ private:
+  algorithms::AtomicMisProblem inner_;
+  mutable std::atomic<std::uint64_t> calls_{0};
+  mutable std::atomic<std::uint64_t> out_of_range_{0};
+};
+
+// The engine calls the hook, only for claimed labels' tasks, at most once
+// per popped label, and the hook leaves the decided outcome unchanged.
+TEST(SchedulingEngine, PrefetchHookRunsOncePerPoppedLabelAtMost) {
+  const Graph g = graph::gnm(20000, 100000, 113);
+  const auto pri = graph::random_priorities(20000, 127);
+  SchedulingEngine eng(engine_opts(4, 1));
+  CountingPrefetchMis hooked(g, pri);
+  const auto stats = eng.submit_relaxed(hooked, pri, job_cfg(3)).wait();
+  algorithms::AtomicMisProblem plain(g, pri);
+  eng.submit_relaxed(plain, pri, job_cfg(3)).wait();
+  EXPECT_GT(hooked.calls(), 0u);
+  EXPECT_EQ(hooked.out_of_range(), 0u);
+  EXPECT_LE(hooked.calls(), stats.iterations);
+  EXPECT_EQ(hooked.result(), plain.result());
+  EXPECT_EQ(plain.result(), algorithms::sequential_greedy_mis(g, pri));
+}
+
+// Task 0 stays kNotReady until a deadline, like a blocker held by a
+// descheduled worker; every other task processes at once.
+class StalledBlockerProblem {
+ public:
+  StalledBlockerProblem(std::uint32_t n, std::chrono::milliseconds stall)
+      : n_(n), until_(std::chrono::steady_clock::now() + stall) {}
+  [[nodiscard]] std::uint32_t num_tasks() const { return n_; }
+  core::Outcome try_process(core::Task t) {
+    if (t == 0 && std::chrono::steady_clock::now() < until_)
+      return core::Outcome::kNotReady;
+    return core::Outcome::kProcessed;
+  }
+
+ private:
+  std::uint32_t n_;
+  std::chrono::steady_clock::time_point until_;
+};
+
+// Workers back off from a label they keep finding blocked. Through a
+// 30 ms stall, re-popping the lone stuck label without a pause costs
+// tens of thousands of failed deletes; with the backoff ladder (spins,
+// then 100 us sleeps) each of the 2 workers fails it a few hundred times.
+TEST(SchedulingEngine, RepeatBlockedLabelBacksOff) {
+  constexpr std::uint32_t kN = 256;
+  const auto pri = graph::identity_priorities(kN);
+  SchedulingEngine eng(engine_opts(2, 1));
+  StalledBlockerProblem problem(kN, std::chrono::milliseconds(30));
+  const auto stats = eng.submit_relaxed(problem, pri, job_cfg(7)).wait();
+  EXPECT_EQ(stats.processed, kN);
+  EXPECT_GT(stats.failed_deletes, 0u);
+  EXPECT_LT(stats.failed_deletes, 2000u);
 }
 
 }  // namespace

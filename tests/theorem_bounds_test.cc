@@ -3,9 +3,13 @@
 // input size would fail them. Margins are generous to avoid flakiness.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+
 #include "algorithms/coloring.h"
 #include "algorithms/mis.h"
 #include "core/sequential_executor.h"
+#include "engine/engine.h"
 #include "graph/generators.h"
 #include "sched/sim_multiqueue.h"
 #include "sched/topk_uniform.h"
@@ -41,6 +45,52 @@ TEST(Theorem2, MisOverheadIndependentOfGraphSize) {
   // a factor-4 drift for noise, far below proportional growth.
   EXPECT_LT(large_avg, std::max(small_avg * 4.0, 200.0))
       << "small=" << small_avg << " large=" << large_avg;
+}
+
+// The same property on the path users run: the 4-worker engine at the
+// default JobConfig (adaptive claims, job-size claim cap). Concurrency and
+// batched claims change the constant, not the size-independence. Every
+// run counts: the mean is bounded like the sequential leg's, and the worst
+// large run is bounded too, so one run whose count blows up (a worker
+// stalled while holding claimed labels) cannot hide inside the mean.
+TEST(Theorem2, EngineDefaultMisOverheadIndependentOfGraphSize) {
+  engine::EngineOptions eo;
+  eo.num_threads = 4;
+  eo.pin_threads = false;
+  engine::SchedulingEngine eng(eo);
+  struct Failed {
+    double mean = 0;
+    std::uint64_t worst = 0;
+  };
+  const auto failed = [&eng](std::uint32_t n, std::uint64_t base) {
+    constexpr int kRuns = 3;
+    Failed f;
+    for (int r = 0; r < kRuns; ++r) {
+      const std::uint64_t seed = base + static_cast<std::uint64_t>(r);
+      const Graph g = graph::gnm(n, 5ull * n, seed);
+      const auto pri = graph::random_priorities(n, seed + 1);
+      algorithms::AtomicMisProblem problem(g, pri);
+      engine::JobConfig cfg;
+      cfg.seed = seed + 2;
+      const auto stats = eng.submit_relaxed(problem, pri, cfg).wait();
+      EXPECT_EQ(problem.result(), algorithms::sequential_greedy_mis(g, pri))
+          << "n=" << n << " seed=" << seed;
+      std::printf("engine default MIS: n=%u m=%u seed=%llu failed=%llu\n", n,
+                  5 * n, static_cast<unsigned long long>(seed),
+                  static_cast<unsigned long long>(stats.failed_deletes));
+      f.mean += static_cast<double>(stats.failed_deletes) / kRuns;
+      f.worst = std::max(f.worst, stats.failed_deletes);
+    }
+    return f;
+  };
+  const Failed small = failed(1u << 15, 900);
+  const Failed large = failed(1u << 19, 910);
+  // 16x more vertices; allow the same factor-4 drift as the sequential leg.
+  const double bound = std::max(small.mean * 4.0, 200.0);
+  EXPECT_LT(large.mean, bound)
+      << "small=" << small.mean << " large=" << large.mean;
+  EXPECT_LT(static_cast<double>(large.worst), 2.0 * bound)
+      << "small=" << small.mean << " worst large=" << large.worst;
 }
 
 TEST(Theorem2, MisOverheadIndependentOfDensity) {

@@ -52,7 +52,7 @@ namespace {
       "  --pop-batch=<k>|auto[:max]\n"
       "                           default labels per scheduler touch;\n"
       "                           'auto' adapts per worker up to max\n"
-      "                           (default 1)\n"
+      "                           (default auto)\n"
       "  --numa=off|auto|virtual:<K>\n"
       "                           topology-aware placement: pin workers\n"
       "                           socket-by-socket and stripe backends per\n"
@@ -125,7 +125,7 @@ int main(int argc, char** argv) {
   opts.default_weight = static_cast<std::uint32_t>(default_weight);
 
   const auto pb =
-      relax::server::cli::parse_pop_batch(cli.get_string("pop-batch", "1"));
+      relax::server::cli::parse_pop_batch(cli.get_string("pop-batch", "auto"));
   if (!pb) return 2;
   opts.default_pop_batch = pb->batch;
   opts.default_pop_batch_auto = pb->adaptive;

@@ -74,7 +74,7 @@ using relax::graph::Graph;
                            envelope; auto adapts per worker between 1 near
                            drain and the max — 64 unless given — from
                            claim feedback + global occupancy; 0 and
-                           non-numeric values are rejected)       [1]
+                           non-numeric values are rejected)    [auto]
   --numa=off|auto|virtual:<K>  topology-aware placement (parallel modes,
                            including --algo=sssp): auto discovers sockets
                            from sysfs (flat fallback in containers that
@@ -226,7 +226,7 @@ relax::core::ParallelOptions parallel_opts(
   if (!g_telemetry.trace_path.empty()) opts.trace = &g_telemetry.ring;
   opts.num_threads = static_cast<unsigned>(cli.get_int("threads", 0));
   opts.queue_factor = static_cast<unsigned>(cli.get_int("queue-factor", 4));
-  const std::string pop_batch_value = cli.get_string("pop-batch", "1");
+  const std::string pop_batch_value = cli.get_string("pop-batch", "auto");
   const auto pb = relax::engine::parse_pop_batch_flag(pop_batch_value);
   if (!pb.valid) {
     std::fprintf(stderr,
