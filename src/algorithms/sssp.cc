@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -15,6 +17,25 @@
 #include "util/timer.h"
 
 namespace relax::algorithms {
+namespace {
+
+void check_sssp_inputs(const graph::Graph& g,
+                       const std::vector<std::uint32_t>& weights,
+                       graph::Vertex source) {
+  if (source >= g.num_vertices()) {
+    throw std::invalid_argument("sssp: source " + std::to_string(source) +
+                                " out of range for " +
+                                std::to_string(g.num_vertices()) +
+                                " vertices");
+  }
+  if (weights.size() != g.num_arcs()) {
+    throw std::invalid_argument(
+        "sssp: " + std::to_string(weights.size()) + " weights for " +
+        std::to_string(g.num_arcs()) + " arcs");
+  }
+}
+
+}  // namespace
 
 std::vector<std::uint32_t> synthetic_edge_weights(const graph::Graph& g,
                                                   std::uint64_t seed,
@@ -38,6 +59,7 @@ std::vector<std::uint32_t> synthetic_edge_weights(const graph::Graph& g,
 std::vector<std::uint32_t> dijkstra(const graph::Graph& g,
                                     const std::vector<std::uint32_t>& weights,
                                     graph::Vertex source) {
+  check_sssp_inputs(g, weights, source);
   std::vector<std::uint32_t> dist(g.num_vertices(), kUnreachable);
   sched::DaryHeap<std::uint64_t> heap;  // (dist << 32) | vertex
   dist[source] = 0;
@@ -64,6 +86,7 @@ std::vector<std::uint32_t> dijkstra(const graph::Graph& g,
 std::vector<std::uint32_t> parallel_relaxed_sssp(
     const graph::Graph& g, const std::vector<std::uint32_t>& weights,
     graph::Vertex source, const SsspOptions& options, SsspStats* stats_out) {
+  check_sssp_inputs(g, weights, source);
   const unsigned threads = options.num_threads == 0
                                ? util::hardware_threads()
                                : options.num_threads;
@@ -88,12 +111,15 @@ std::vector<std::uint32_t> parallel_relaxed_sssp(
   }
   queue.insert(static_cast<std::uint64_t>(source));
 
-  // Termination: pending = queued-but-unprocessed entries. Incremented
-  // before each insert (including buffered ones: the increment happens at
-  // relaxation time, before the key ever sits in a local buffer, so the
-  // count can never drop to zero while keys await their flush), and
-  // decremented only after a popped batch is fully handled AND its
-  // re-insertions flushed; zero means no thread can generate more work.
+  // Termination: pending counts every key that is queued, claimed by a
+  // worker, or about to be flushed by one. A worker settles its batch with
+  // one fetch_add(r - b) once the b claimed keys are processed and the r
+  // successful relaxations sit in its buffer, and only then flushes them.
+  // Until that add, the b claimed keys keep the count positive; after it,
+  // the r buffered keys do. So the count reaches 0 only when no key exists
+  // anywhere, and no thread can generate more work. One update per batch
+  // instead of one contended add per relaxation keeps every worker off
+  // this cache line while it relaxes.
   std::atomic<std::int64_t> pending{1};
   std::vector<SsspStats> per_thread(threads);
   util::Timer timer;
@@ -159,7 +185,6 @@ std::vector<std::uint32_t> parallel_relaxed_sssp(
                 if (dist[u].compare_exchange_weak(
                         cur, nd, std::memory_order_acq_rel)) {
                   ++stats.relaxations;
-                  pending.fetch_add(1, std::memory_order_acq_rel);
                   reinsert.push_back((static_cast<std::uint64_t>(nd) << 32) |
                                      u);
                   break;
@@ -167,18 +192,21 @@ std::vector<std::uint32_t> parallel_relaxed_sssp(
               }
             }
           }
+          // Settle the batch, then flush. The add must come before the
+          // flush: were the keys queued uncounted, other workers could pop
+          // and settle them against this batch's count and reach 0 while
+          // keys are still queued (see the invariant note above).
+          pending.fetch_add(static_cast<std::int64_t>(reinsert.size()) -
+                                static_cast<std::int64_t>(popped.size()),
+                            std::memory_order_acq_rel);
           // Batched re-insert: the whole run of successful relaxations goes
           // back in one bulk_insert (one lock per target sub-queue) instead
-          // of one lock + heap sift per key. Must happen before the
-          // pending decrement for the popped keys — see the invariant note
-          // above.
+          // of one lock + heap sift per key.
           if (reinsert.size() == 1) {
             handle.insert(reinsert.front());
           } else if (!reinsert.empty()) {
             handle.bulk_insert(std::span<const std::uint64_t>(reinsert));
           }
-          pending.fetch_sub(static_cast<std::int64_t>(popped.size()),
-                            std::memory_order_acq_rel);
         }
         per_thread[t] = stats;
       });

@@ -29,7 +29,9 @@ std::vector<std::uint32_t> synthetic_edge_weights(const graph::Graph& g,
                                                   std::uint64_t seed,
                                                   std::uint32_t max_w = 100);
 
-/// Reference Dijkstra (exact binary-heap scheduler). Returns distances.
+/// Reference Dijkstra over an exact 4-ary heap (sched::DaryHeap). Returns
+/// distances. Throws std::invalid_argument when source >= g.num_vertices()
+/// or weights.size() != g.num_arcs().
 std::vector<std::uint32_t> dijkstra(const graph::Graph& g,
                                     const std::vector<std::uint32_t>& weights,
                                     graph::Vertex source);
@@ -85,6 +87,11 @@ struct SsspOptions {
 /// insensitive to the extra relaxation (distances converge monotonically
 /// for any pop order); the price is more stale pops, which stats make
 /// visible next to the throughput gain.
+///
+/// Termination is counted once per claimed batch: each worker settles its
+/// batch with one update of a shared pending count, so stats satisfy
+/// pops == relaxations + 1 (every inserted key is popped exactly once).
+/// Throws std::invalid_argument on the same inputs as dijkstra().
 std::vector<std::uint32_t> parallel_relaxed_sssp(
     const graph::Graph& g, const std::vector<std::uint32_t>& weights,
     graph::Vertex source, const SsspOptions& options,

@@ -2,12 +2,27 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <stdexcept>
+#include <string>
+
 #include "graph/generators.h"
 
 namespace relax::algorithms {
 namespace {
 
 using graph::Graph;
+
+// g's edges with every endpoint shifted by `offset`, for gluing graphs
+// side by side into one vertex range.
+std::vector<graph::Edge> shifted_edges(const Graph& g, graph::Vertex offset) {
+  std::vector<graph::Edge> out = g.edge_list();
+  for (auto& [u, v] : out) {
+    u += offset;
+    v += offset;
+  }
+  return out;
+}
 
 TEST(SyntheticWeights, SymmetricAndInRange) {
   const Graph g = graph::gnm_exact(100, 400, 3);
@@ -64,6 +79,80 @@ TEST(Dijkstra, UnreachableVertices) {
   EXPECT_NE(dist[1], kUnreachable);
   EXPECT_EQ(dist[2], kUnreachable);
   EXPECT_EQ(dist[3], kUnreachable);
+}
+
+TEST(Sssp, RejectsInvalidSourceAndWeights) {
+  const Graph empty = graph::gnm(0, 0, 1);
+  const std::vector<std::uint32_t> none;
+  EXPECT_THROW(dijkstra(empty, none, 0), std::invalid_argument);
+  EXPECT_THROW(parallel_relaxed_sssp(empty, none, 0, SsspOptions{}),
+               std::invalid_argument);
+
+  const Graph g = graph::path(10);
+  const auto w = synthetic_edge_weights(g, 1, 10);
+  EXPECT_THROW(dijkstra(g, w, 10), std::invalid_argument);
+  EXPECT_THROW(parallel_relaxed_sssp(g, w, 10, SsspOptions{}),
+               std::invalid_argument);
+  const std::vector<std::uint32_t> short_w(w.begin(), w.end() - 1);
+  EXPECT_THROW(dijkstra(g, short_w, 0), std::invalid_argument);
+  EXPECT_THROW(parallel_relaxed_sssp(g, short_w, 0, SsspOptions{}),
+               std::invalid_argument);
+}
+
+TEST(ParallelRelaxedSssp, TerminationCountsEveryKeyExactlyOnce) {
+  // Termination is settled once per claimed batch (pending += r - b). If it
+  // ever fired early, keys would be left unpopped: every inserted key (the
+  // source plus one per successful relaxation) must be popped exactly once.
+  constexpr graph::Vertex kN = 2000;
+  const std::uint64_t graph_seed = 61;
+  const std::uint64_t weight_seed = 62;
+  const std::uint64_t sched_seed = 63;
+  std::printf("termination accounting: graph_seed=%llu weight_seed=%llu "
+              "sched_seed=%llu\n",
+              static_cast<unsigned long long>(graph_seed),
+              static_cast<unsigned long long>(weight_seed),
+              static_cast<unsigned long long>(sched_seed));
+
+  // Vertex 0 has no edges: the first batch nets -1 and flushes nothing.
+  const auto rest = shifted_edges(graph::gnm(kN - 1, 5 * kN, graph_seed), 1);
+  // Two gnm halves with no edge between them; the source sits in the first.
+  auto halves = shifted_edges(graph::gnm(kN / 2, 3 * kN, graph_seed + 1), 0);
+  const auto upper =
+      shifted_edges(graph::gnm(kN / 2, 3 * kN, graph_seed + 2), kN / 2);
+  halves.insert(halves.end(), upper.begin(), upper.end());
+
+  const std::pair<const char*, Graph> shapes[] = {
+      {"isolated-source", Graph::from_edges(kN, rest)},
+      {"star-hub-source", graph::star(kN)},  // one batch relaxes kN - 1 keys
+      {"two-components", Graph::from_edges(kN, halves)},
+      {"path", graph::path(kN)},
+  };
+  struct Claims {
+    const char* name;
+    std::uint32_t pop_batch;
+    bool pop_batch_auto;
+  };
+  const Claims claims[] = {{"fixed-1", 1, false},
+                           {"fixed-8", 8, false},
+                           {"auto", SsspOptions{}.pop_batch, true}};
+  for (const auto& [shape, g] : shapes) {
+    const auto w = synthetic_edge_weights(g, weight_seed, 100);
+    const auto expected = dijkstra(g, w, 0);
+    for (const unsigned threads : {1u, 4u, 8u}) {
+      for (const Claims& c : claims) {
+        SCOPED_TRACE(std::string(shape) + " threads=" +
+                     std::to_string(threads) + " claims=" + c.name);
+        SsspOptions opts;
+        opts.num_threads = threads;
+        opts.seed = sched_seed;
+        opts.pop_batch = c.pop_batch;
+        opts.pop_batch_auto = c.pop_batch_auto;
+        SsspStats stats;
+        EXPECT_EQ(parallel_relaxed_sssp(g, w, 0, opts, &stats), expected);
+        EXPECT_EQ(stats.pops, stats.relaxations + 1);
+      }
+    }
+  }
 }
 
 TEST(ParallelRelaxedSssp, MatchesDijkstraOnRandomGraphs) {

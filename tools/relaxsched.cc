@@ -24,6 +24,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <numeric>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -451,8 +452,14 @@ int main(int argc, char** argv) {
     sssp_opts.pop_batch = popts.pop_batch;
     sssp_opts.pop_batch_auto = popts.pop_batch_auto;
     sssp_opts.topology = popts.topology;
-    const auto dist = relax::algorithms::parallel_relaxed_sssp(
-        g, weights, 0, sssp_opts, &stats);
+    std::vector<std::uint32_t> dist;
+    try {
+      dist = relax::algorithms::parallel_relaxed_sssp(g, weights, 0,
+                                                      sssp_opts, &stats);
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 1;
+    }
     std::printf(
         "sssp: %.4f s | pops=%llu stale=%llu relaxations=%llu batches=%llu "
         "claims=[%llu..%llu]%s\n",
