@@ -17,9 +17,11 @@ namespace relax::graph {
 void write_edge_list(const Graph& g, const std::string& path);
 
 /// Reads a text edge list written by write_edge_list (or hand-authored).
+/// Throws std::runtime_error on a missing or malformed file, and
+/// std::invalid_argument (from Graph::from_edges) on a vertex id >= n.
 Graph read_edge_list(const std::string& path);
 
-/// Binary variants.
+/// Binary variants, with the same errors.
 void write_binary(const Graph& g, const std::string& path);
 Graph read_binary(const std::string& path);
 

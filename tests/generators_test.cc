@@ -2,10 +2,45 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <queue>
 
 namespace relax::graph {
 namespace {
+
+// Same vertex count and, vertex by vertex, the same adjacency list.
+::testing::AssertionResult same_graph(const Graph& a, const Graph& b) {
+  if (a.num_vertices() != b.num_vertices() || a.num_arcs() != b.num_arcs())
+    return ::testing::AssertionFailure()
+           << "n " << a.num_vertices() << " vs " << b.num_vertices()
+           << ", arcs " << a.num_arcs() << " vs " << b.num_arcs();
+  for (Vertex v = 0; v < a.num_vertices(); ++v) {
+    const auto na = a.neighbors(v);
+    const auto nb = b.neighbors(v);
+    if (!std::equal(na.begin(), na.end(), nb.begin(), nb.end()))
+      return ::testing::AssertionFailure() << "neighbors of " << v << " differ";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// A 64-bit digest of the whole CSR: n, arc count, then every vertex's
+// degree followed by its neighbours.
+std::uint64_t fingerprint(const Graph& g) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](std::uint64_t x) {
+    h ^= x;
+    h *= 0x100000001b3ULL;
+    h ^= h >> 29;
+  };
+  mix(g.num_vertices());
+  mix(g.num_arcs());
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    mix(g.degree(v));
+    for (const Vertex u : g.neighbors(v)) mix(u);
+  }
+  return h;
+}
 
 TEST(Gnm, ApproximateEdgeCount) {
   const Graph g = gnm(10000, 50000, 1);
@@ -36,6 +71,28 @@ TEST(Gnm, ThreadCountInvariant) {
   const Graph b = gnm(2000, 20000, 9, 8);
   ASSERT_EQ(a.num_edges(), b.num_edges());
   for (Vertex v = 0; v < 2000; ++v) EXPECT_EQ(a.degree(v), b.degree(v));
+  EXPECT_TRUE(same_graph(a, b));
+  // Large enough that edge generation and the build both use every thread.
+  const Graph c = gnm(50000, 400000, 9, 1);
+  for (const unsigned threads : {2u, 3u, 8u})
+    EXPECT_TRUE(same_graph(c, gnm(50000, 400000, 9, threads)))
+        << "threads=" << threads;
+}
+
+// The benchmark's graphs, as built at seed 11: mis_batch G(2M,10M),
+// sssp_batch G(300k,1.5M), and the wire workloads' small and large resident
+// graphs (spec seeds 0 and 7919 offset by the run seed). The digests were
+// taken before the CSR builder was rewritten without atomics; a change here
+// means the benchmark no longer measures the same workloads.
+TEST(Gnm, BenchmarkGraphsUnchanged) {
+  constexpr std::uint64_t kSeed = 11;
+  EXPECT_EQ(fingerprint(gnm(2'000'000, 10'000'000, kSeed)),
+            0x6084ba0fa7e39d5cULL);
+  EXPECT_EQ(fingerprint(gnm(300'000, 1'500'000, kSeed)),
+            0xeb5a16807cfde9d8ULL);
+  EXPECT_EQ(fingerprint(gnm(4000, 24000, kSeed)), 0x6b0b5449396359dcULL);
+  EXPECT_EQ(fingerprint(gnm(50000, 250000, kSeed + 7919)),
+            0x593315c2489b6151ULL);
 }
 
 TEST(GnmExact, ExactEdgeCount) {
@@ -75,6 +132,7 @@ TEST(Gnp, ThreadCountInvariant) {
   const Graph b = gnp(3000, 0.01, 23, 16);
   ASSERT_EQ(a.num_edges(), b.num_edges());
   for (Vertex v = 0; v < 3000; ++v) EXPECT_EQ(a.degree(v), b.degree(v));
+  EXPECT_TRUE(same_graph(a, b));
 }
 
 TEST(Rmat, SizeAndSkew) {

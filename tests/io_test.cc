@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 
 #include "graph/generators.h"
@@ -78,6 +80,37 @@ TEST_F(IoTest, TextHandWritten) {
   EXPECT_TRUE(g.has_edge(1, 2));
   EXPECT_FALSE(g.has_edge(0, 2));
   std::remove(path.c_str());
+}
+
+// A file naming a vertex id >= n must be refused, not read past the CSR's
+// arrays: one id equal to n, and one far above it.
+TEST_F(IoTest, TextRejectsOutOfRangeIds) {
+  for (const char* body : {"3 1\n2 3\n", "3 1\n2 900000000\n"}) {
+    const auto path = temp_path("range.el");
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    std::fputs(body, f);
+    std::fclose(f);
+    EXPECT_THROW(read_edge_list(path), std::invalid_argument) << body;
+    std::remove(path.c_str());
+  }
+}
+
+TEST_F(IoTest, BinaryRejectsOutOfRangeIds) {
+  for (const std::uint32_t bad : {3u, 900'000'000u}) {
+    const auto path = temp_path("range.bel");
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    const std::uint64_t magic = 0x52454c4758454c31ULL;  // "RELGXEL1"
+    const std::uint32_t n = 3;
+    const std::uint64_t m = 1;
+    const std::uint32_t edge[2] = {2, bad};
+    std::fwrite(&magic, sizeof magic, 1, f);
+    std::fwrite(&n, sizeof n, 1, f);
+    std::fwrite(&m, sizeof m, 1, f);
+    std::fwrite(edge, sizeof edge[0], 2, f);
+    std::fclose(f);
+    EXPECT_THROW(read_binary(path), std::invalid_argument) << bad;
+    std::remove(path.c_str());
+  }
 }
 
 }  // namespace

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -96,6 +99,28 @@ TEST(ParallelChunks, ChunksPartitionTheRange) {
     total.fetch_add(hi - lo);
   });
   EXPECT_EQ(total.load(), 100000u);
+}
+
+// A short range of heavy items (generator chunks are 64k edges each) must
+// still be spread over the workers asked for.
+TEST(ParallelFor, FewHeavyItemsUseSeveralThreads) {
+  std::mutex mu;
+  std::set<std::thread::id> ids;
+  parallel_for(0, 8, 4, [&](std::uint64_t) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    std::lock_guard<std::mutex> lock(mu);
+    ids.insert(std::this_thread::get_id());
+  });
+  EXPECT_GT(ids.size(), 1u);
+}
+
+// A grain caps the workers at one per `grain` items.
+TEST(WorkerCount, GrainBoundsWorkers) {
+  EXPECT_EQ(worker_count(1000, 4, 4096), 1u);
+  EXPECT_EQ(worker_count(3 * 4096, 4, 4096), 3u);
+  EXPECT_EQ(worker_count(1 << 20, 4, 4096), 4u);
+  EXPECT_EQ(worker_count(8, 4), 4u);
+  EXPECT_EQ(worker_count(0, 4), 1u);
 }
 
 TEST(ParallelChunksIndexed, SlotsAreDistinct) {

@@ -432,7 +432,13 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const Graph g = make_graph(cli);
+  Graph g;
+  try {
+    g = make_graph(cli);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
   std::printf("graph: n=%u m=%llu\n", g.num_vertices(),
               static_cast<unsigned long long>(g.num_edges()));
 
