@@ -54,30 +54,37 @@ struct ProblemArena {
 relax::engine::JobTicket submit_one(relax::engine::SchedulingEngine& eng,
                                     const RequestMix& mix, ProblemArena& arena,
                                     int kind, std::uint64_t seed) {
+  using relax::algorithms::AtomicMisProblem;
   relax::engine::JobConfig cfg;
   cfg.seed = seed;
+  const relax::sched::BackendInfo& backend = relax::sched::default_backend();
   switch (kind) {
     case 0: {
-      arena.mis.push_back(std::make_unique<relax::algorithms::AtomicMisProblem>(
-          mix.mis_graph, mix.mis_pri));
-      return eng.submit_relaxed(*arena.mis.back(), mix.mis_pri, cfg);
+      arena.mis.push_back(
+          std::make_unique<AtomicMisProblem>(mix.mis_graph, mix.mis_pri));
+      return eng.submit_relaxed_backend(*arena.mis.back(), mix.mis_pri,
+                                        backend, cfg);
     }
     case 1: {
       arena.color.push_back(
           std::make_unique<relax::algorithms::AtomicColoringProblem>(
               mix.color_graph, mix.color_pri));
-      return eng.submit_relaxed(*arena.color.back(), mix.color_pri, cfg);
+      return eng.submit_relaxed_backend(*arena.color.back(), mix.color_pri,
+                                        backend, cfg);
     }
     case 2: {
       arena.match.push_back(
           std::make_unique<relax::algorithms::AtomicMatchingProblem>(
               *mix.incidence, mix.match_pri));
-      return eng.submit_relaxed(*arena.match.back(), mix.match_pri, cfg);
+      return eng.submit_relaxed_backend(*arena.match.back(), mix.match_pri,
+                                        backend, cfg);
     }
     default: {  // exact-baseline MIS
-      arena.mis.push_back(std::make_unique<relax::algorithms::AtomicMisProblem>(
-          mix.mis_graph, mix.mis_pri));
-      return eng.submit_exact(*arena.mis.back(), mix.mis_pri, cfg);
+      arena.mis.push_back(
+          std::make_unique<AtomicMisProblem>(mix.mis_graph, mix.mis_pri));
+      using ExactMis = relax::engine::ExactJob<AtomicMisProblem>;
+      return eng.submit(
+          std::make_shared<ExactMis>(*arena.mis.back(), mix.mis_pri, cfg));
     }
   }
 }

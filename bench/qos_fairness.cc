@@ -55,7 +55,7 @@ class SpinJob final : public relax::engine::Job {
           const std::atomic<bool>* stop)
       : weight_(weight), spin_(spin), stop_(stop) {}
 
-  void activate(unsigned) override {}
+  void activate(const relax::engine::EngineContext&) override {}
 
   relax::engine::SliceResult run_slice(unsigned,
                                        std::uint32_t budget) override {

@@ -97,7 +97,6 @@ inline engine::EngineOptions single_job_engine(const ParallelOptions& opts) {
 inline engine::JobConfig job_config(const ParallelOptions& opts) {
   engine::JobConfig cfg;
   cfg.queue_factor = opts.queue_factor;
-  cfg.choices = opts.choices;
   cfg.relaxation_k = opts.relaxation_k;
   cfg.pop_batch = opts.pop_batch;
   cfg.pop_batch_auto = opts.pop_batch_auto;
@@ -132,9 +131,10 @@ ExecutionStats run_parallel_relaxed_backend(P& problem,
                                             const graph::Priorities& pri,
                                             std::string_view backend,
                                             const ParallelOptions& opts = {}) {
+  const sched::BackendInfo& info = sched::backend_or_throw(backend);
   engine::SchedulingEngine eng(detail::single_job_engine(opts));
   return eng
-      .submit_relaxed_backend(problem, pri, backend, detail::job_config(opts))
+      .submit_relaxed_backend(problem, pri, info, detail::job_config(opts))
       .wait();
 }
 
@@ -155,7 +155,10 @@ template <typename P>
 ExecutionStats run_parallel_exact(P& problem, const graph::Priorities& pri,
                                   const ParallelOptions& opts = {}) {
   engine::SchedulingEngine eng(detail::single_job_engine(opts));
-  return eng.submit_exact(problem, pri, detail::job_config(opts)).wait();
+  return eng
+      .submit(std::make_shared<engine::ExactJob<P>>(problem, pri,
+                                                    detail::job_config(opts)))
+      .wait();
 }
 
 }  // namespace relax::core

@@ -3,12 +3,14 @@
 // boundary.
 //
 // make_backend_job resolves a BackendInfo into a concrete scheduler type
-// via dispatch_backend, stands the scheduler up *inside* an
-// OwningRelaxedJob (or a MonitoredRelaxedJob when the config opts into the
-// Definition 1 audit), and returns the type-erased handle the engine
-// multiplexes. This is the "factory closure" per backend name: everything
-// past this point — admission batching, slice execution, retirement
-// counting — is backend-agnostic.
+// via dispatch_backend, stands the scheduler up *inside* a RelaxedJob that
+// owns it (as an AuditedQueue when the config opts into the Definition 1
+// audit), and returns the type-erased handle the engine multiplexes. This
+// is the "factory closure" per backend name: everything past this point —
+// admission batching, slice execution, retirement counting — is
+// backend-agnostic. Submit the result with SchedulingEngine::submit or
+// try_submit; the engine hands it its telemetry sinks and placement at
+// activation.
 //
 // Sizing: the backend sees the engine's pool width as its thread count, so
 // MultiQueues get queue_factor * width sub-queues and the SprayList sprays
@@ -26,10 +28,9 @@
 namespace relax::engine {
 
 /// Backend instantiation parameters for a job of `num_tasks` tasks running
-/// on a pool of `pool_width` workers. Note cfg.choices is deliberately NOT
-/// forwarded: a registry name pins its own sampling width (that is what
-/// distinguishes multiqueue-c2 from multiqueue-c8), so the backend path
-/// takes choices from BackendInfo, never from the job config.
+/// on a pool of `pool_width` workers. A registry name pins its own sampling
+/// width (that is what distinguishes multiqueue-c2 from multiqueue-c8), so
+/// choices come from BackendInfo, never from the job config.
 inline sched::BackendParams backend_params(const JobConfig& cfg,
                                            unsigned pool_width,
                                            std::uint32_t num_tasks) {
@@ -57,12 +58,13 @@ std::shared_ptr<Job> make_backend_job(const sched::BackendInfo& info,
       [&](auto tag, auto&&... queue_args) -> std::shared_ptr<Job> {
         using Queue = typename decltype(tag)::type;
         if (cfg.monitor_relaxation) {
-          return std::make_shared<MonitoredRelaxedJob<P, Queue>>(
-              problem, pri, cfg,
+          return std::make_shared<RelaxedJob<P, AuditedQueue<Queue>>>(
+              problem, pri, cfg, std::in_place, std::in_place,
+              problem.num_tasks(), cfg.monitor_stride,
               std::forward<decltype(queue_args)>(queue_args)...);
         }
-        return std::make_shared<OwningRelaxedJob<P, Queue>>(
-            problem, pri, cfg,
+        return std::make_shared<RelaxedJob<P, Queue>>(
+            problem, pri, cfg, std::in_place,
             std::forward<decltype(queue_args)>(queue_args)...);
       });
 }

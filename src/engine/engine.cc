@@ -116,7 +116,9 @@ void SchedulingEngine::admit(std::unique_lock<std::mutex>& lock) {
     ++activating_;
     space_cv_.notify_one();  // one admission-queue slot freed
     lock.unlock();
-    admitted.job->activate(pool_.size());
+    admitted.job->activate(EngineContext{pool_.size(), opts_.metrics,
+                                         opts_.trace, placement_.num_domains,
+                                         &placement_.domain});
     lock.lock();
     --activating_;
     // Register the tenant under mu_ (the governor's aggregate counters are

@@ -7,8 +7,17 @@
 //   submit(job) -> JobTicket      bounded admission queue; BLOCKS when
 //                                 max_pending jobs are already waiting
 //                                 (backpressure, never drops)
+//   try_submit(job)               the same, but returns nullopt instead of
+//                                 blocking when the queue is full
 //   JobTicket::wait()             blocks until that job completes, returns
 //                                 its ExecutionStats
+//
+// A job is any engine::Job: a RelaxedJob over a borrowed queue, one that
+// owns its queue (make_backend_job, engine/backend_jobs.h), optionally
+// audited, or an ExactJob. submit_relaxed_backend and submit_relaxed_on are
+// one-line shorthands for the first two. Whoever built a job, the engine
+// hands it its context at activation (engine/job.h EngineContext): pool
+// width, telemetry sinks and worker placement.
 //
 // Up to max_in_flight admitted jobs are active at once; every worker visits
 // each active job round-robin (rotated by worker id so workers start on
@@ -38,7 +47,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -76,9 +84,8 @@ struct EngineOptions {
   /// (nullptr == zero overhead on every hot path). The engine resizes both
   /// to its worker count before the pool starts, threads them into the
   /// pool's park instrumentation, times every job slice into the registry
-  /// and trace ring, and injects them into each submitted job's JobConfig
-  /// (unless the caller already set per-job sinks there — caller wins).
-  /// Both must outlive the engine.
+  /// and trace ring, and hands them to every job at activation
+  /// (EngineContext). Both must outlive the engine.
   obs::MetricsRegistry* metrics = nullptr;
   obs::TraceRing* trace = nullptr;
 
@@ -157,60 +164,15 @@ class SchedulingEngine {
   std::optional<JobTicket> try_submit(std::shared_ptr<Job> job,
                                       CompletionFn on_complete = {});
 
-  /// Non-blocking, callback-completed form of submit_relaxed_backend — the
-  /// request path of the network front-end. nullopt == admission full
-  /// (nothing was enqueued; the problem may be freed immediately).
-  template <core::Problem P>
-  std::optional<JobTicket> try_submit_relaxed_backend(
-      P& problem, const graph::Priorities& pri,
-      const sched::BackendInfo& backend, const JobConfig& cfg,
-      CompletionFn on_complete) {
-    return try_submit(
-        make_backend_job(backend, problem, pri, width(),
-                         with_observability(cfg)),
-        std::move(on_complete));
-  }
+  // Shorthands kept only because benchmark/relaxbench.cc calls them.
 
-  /// Relaxed execution over an engine-owned ConcurrentMultiQueue sized
-  /// cfg.queue_factor sub-queues per worker — the production default. With
-  /// cfg.monitor_relaxation the job runs in audit mode and its stats carry
-  /// Definition 1 rank-error / inversion measurements.
-  template <core::Problem P>
-  JobTicket submit_relaxed(P& problem, const graph::Priorities& pri,
-                           const JobConfig& cfg = {}) {
-    const JobConfig jc = with_observability(cfg);
-    const std::uint32_t queues = jc.queue_factor * width();
-    if (jc.monitor_relaxation) {
-      return submit(
-          std::make_shared<MonitoredRelaxedJob<P, sched::ConcurrentMultiQueue>>(
-              problem, pri, jc, queues, jc.seed, jc.choices));
-    }
-    return submit(
-        std::make_shared<OwningRelaxedJob<P, sched::ConcurrentMultiQueue>>(
-            problem, pri, jc, queues, jc.seed, jc.choices));
-  }
-
-  /// Relaxed execution over any backend in the registry
-  /// (sched/backend_registry.h): the job owns a fresh instance of the named
-  /// backend sized for this pool. With cfg.monitor_relaxation the backend
-  /// is additionally driven through a RelaxationMonitor and the stats carry
-  /// Definition 1 quality measurements.
+  /// Relaxed execution over a fresh instance of any registry backend
+  /// (sched/backend_registry.h) sized for this pool; see make_backend_job.
   template <core::Problem P>
   JobTicket submit_relaxed_backend(P& problem, const graph::Priorities& pri,
                                    const sched::BackendInfo& backend,
                                    const JobConfig& cfg = {}) {
-    return submit(
-        make_backend_job(backend, problem, pri, width(), with_observability(cfg)));
-  }
-
-  /// Name-based form; throws std::invalid_argument (listing the valid
-  /// names) when `backend_name` is not in the registry.
-  template <core::Problem P>
-  JobTicket submit_relaxed_backend(P& problem, const graph::Priorities& pri,
-                                   std::string_view backend_name,
-                                   const JobConfig& cfg = {}) {
-    return submit_relaxed_backend(problem, pri,
-                                  sched::backend_or_throw(backend_name), cfg);
+    return submit(make_backend_job(backend, problem, pri, width(), cfg));
   }
 
   /// Relaxed execution over a caller-owned scheduler (MultiQueue, SprayList,
@@ -219,16 +181,8 @@ class SchedulingEngine {
   template <core::Problem P, typename Queue>
   JobTicket submit_relaxed_on(P& problem, const graph::Priorities& pri,
                               Queue& queue, const JobConfig& cfg = {}) {
-    return submit(std::make_shared<RelaxedJob<P, Queue>>(
-        problem, pri, queue, with_observability(cfg)));
-  }
-
-  /// Exact-baseline execution (FAA ticket dispenser + bounded backoff-wait).
-  template <core::Problem P>
-  JobTicket submit_exact(P& problem, const graph::Priorities& pri,
-                         const JobConfig& cfg = {}) {
     return submit(
-        std::make_shared<ExactJob<P>>(problem, pri, with_observability(cfg)));
+        std::make_shared<RelaxedJob<P, Queue>>(problem, pri, queue, cfg));
   }
 
   /// Number of pool workers.
@@ -247,21 +201,6 @@ class SchedulingEngine {
     /// slice's budget grant.
     std::shared_ptr<TenantState> tenant;
   };
-
-  /// Fills unset per-job telemetry sinks from the engine-wide ones in
-  /// EngineOptions, and injects the engine's topology placement (domain
-  /// count + per-worker domain table) so every submitted job stripes its
-  /// scheduler the way the pool is actually pinned; a caller-provided
-  /// JobConfig value always wins.
-  [[nodiscard]] JobConfig with_observability(JobConfig cfg) const {
-    if (cfg.metrics == nullptr) cfg.metrics = opts_.metrics;
-    if (cfg.trace == nullptr) cfg.trace = opts_.trace;
-    if (cfg.numa_domains <= 1 && cfg.worker_domains == nullptr) {
-      cfg.numa_domains = placement_.num_domains;
-      cfg.worker_domains = &placement_.domain;
-    }
-    return cfg;
-  }
 
   /// WorkerPool work function: visit every active job once.
   bool work(unsigned worker);
@@ -289,8 +228,8 @@ class SchedulingEngine {
   EngineOptions opts_;
   /// Where each worker goes and which topology domain it belongs to —
   /// computed once from opts_.topology (flat under kOff), referenced by
-  /// every with_observability-injected JobConfig. Declared before pool_ so
-  /// it exists before any worker thread spawns.
+  /// every job's EngineContext. Declared before pool_ so it exists before
+  /// any worker thread spawns.
   util::WorkerPlacement placement_;
   mutable std::mutex mu_;
   std::condition_variable space_cv_;  // submit backpressure

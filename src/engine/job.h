@@ -4,7 +4,8 @@
 // permutation pi, and a scheduler — behind a uniform slice interface so a
 // pool of persistent workers can multiplex many jobs:
 //
-//   activate(width)          engine admits the job; size per-worker stripes
+//   activate(ctx)            engine admits the job and hands it its context
+//                            (pool width, telemetry sinks, worker placement)
 //   run_slice(worker, b)     run up to b scheduler iterations for `worker`
 //   finished()               retirement count reached num_tasks()
 //   collect()                merged ExecutionStats (only after finished())
@@ -71,22 +72,19 @@
 // run_slice then warms each claimed label's state a few labels before
 // try_process reads it.
 //
-// Variants:
-//   RelaxedJob<P, Queue>        relaxed loop over a caller-owned scheduler
-//                               (anything with per-thread handles or a plain
-//                               sched::ConcurrentScheduler surface)
-//   OwningRelaxedJob<P, Queue>  owns its scheduler, constructed in place
-//                               from forwarded args — this is how the
-//                               backend registry (sched/backend_registry.h,
-//                               engine/backend_jobs.h) stands up any
-//                               registered backend per job
-//   MonitoredRelaxedJob<P, Q>   opt-in audit mode over any owned backend:
-//                               every scheduler op goes through a
-//                               lock-serialized RelaxationMonitor, and
-//                               collect() reports Definition 1 rank-error /
-//                               inversion statistics in ExecutionStats
-//   ExactJob<P>                 the exact baseline (FAA ticket dispenser +
-//                               bounded backoff-wait, never re-inserts)
+// Jobs:
+//   RelaxedJob<P, Queue>  the one relaxed loop, over any scheduler with
+//                         per-thread handles or a plain
+//                         sched::ConcurrentScheduler surface. The queue is
+//                         borrowed from the caller, or owned: built in place
+//                         from forwarded args (how engine/backend_jobs.h
+//                         stands up any registry backend per job). An owned
+//                         AuditedQueue<Q> is also audited: every scheduler
+//                         op goes through a lock-serialized
+//                         RelaxationMonitor, and collect() reports its
+//                         Definition 1 rank-error / inversion statistics.
+//   ExactJob<P>           the exact baseline (FAA ticket dispenser +
+//                         bounded backoff-wait, never re-inserts)
 #pragma once
 
 #include <algorithm>
@@ -100,6 +98,7 @@
 #include <span>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/execution_stats.h"
@@ -120,8 +119,8 @@
 
 namespace relax::engine {
 
-/// Per-job knobs. queue_factor/choices/seed mirror core::ParallelOptions and
-/// parameterize schedulers the job owns; they are ignored for caller-owned
+/// Per-job knobs. queue_factor/seed/relaxation_k mirror core::ParallelOptions
+/// and parameterize schedulers the job owns; they are ignored for borrowed
 /// queues (submit_relaxed_on).
 struct JobConfig {
   /// Ceiling on QoS weights; far above any sensible tenant ratio, this
@@ -133,14 +132,9 @@ struct JobConfig {
   /// the jobs; 0 is treated as 1.
   std::uint32_t weight = 1;
   unsigned queue_factor = 4;       // MultiQueue sub-queues per pool worker
-  unsigned choices = 2;            // sampled sub-queues per pop; only the
-                                   // default submit_relaxed MultiQueue path
-                                   // reads it — registry backends pin their
-                                   // own sampling (multiqueue-c2/-c4/-c8)
   std::uint64_t seed = 1;          // scheduler randomness
   std::uint32_t relaxation_k = 0;  // k for window/sim backends (0 = derive
                                    // queue_factor * pool width)
-  std::uint32_t admission_batch = 1024;  // labels admitted per claimed chunk
   /// Upper bound on pop_batch (64Ki labels = 256 KiB of worker buffer).
   /// Far above any useful batch — the rank envelope scales with k — this
   /// only bounds memory against nonsense values. RelaxedJob clamps to it;
@@ -171,32 +165,35 @@ struct JobConfig {
   /// the cap under a deep backlog (or pins 1 when the whole scheduler is
   /// near drain, whatever the per-worker feedback says).
   bool pop_batch_auto = true;
-  bool monitor_relaxation = false;  // audit mode: serialize + measure quality
+  /// Audit mode: make_backend_job runs the backend as an AuditedQueue
+  /// (serialized, every pop's quality measured).
+  bool monitor_relaxation = false;
   std::uint32_t monitor_stride = 64;  // inversion tracking sample stride
+};
 
-  /// Topology placement, normally injected by the engine from its own
-  /// WorkerPlacement (SchedulingEngine::with_observability) — callers leave
-  /// both at their defaults. numa_domains > 1 makes the job configure any
-  /// owned/attached backend that supports it with a sched::StripeMap during
-  /// activate() (the queue is quiescent there) and open each worker's
-  /// session with that worker's domain, so same-domain stripes are
-  /// preferred and cross-domain traffic becomes the bounded steal schedule.
-  /// worker_domains maps pool worker id -> domain and must outlive the job
-  /// when set (the engine's placement table does); when null, workers fall
-  /// back to a contiguous block split over numa_domains.
-  unsigned numa_domains = 1;
-  const std::vector<unsigned>* worker_domains = nullptr;
+/// What the engine hands every job at activation, whoever built the job.
+/// All pointers are engine-owned and outlive the job's execution.
+struct EngineContext {
+  /// Workers that may call run_slice (ids 0 .. pool_width - 1).
+  unsigned pool_width = 1;
 
-  /// Telemetry sinks. Normally left null by callers and injected by the
-  /// engine from EngineOptions (SchedulingEngine::with_observability), so
-  /// every job submitted to an observed engine reports into the same
-  /// registry; a caller-set sink wins over the engine's. The hot path
-  /// accumulates into worker-locals and flushes once per slice, so an
-  /// attached registry costs a handful of relaxed adds per ~slice_budget
-  /// iterations (pinned by the obs overhead guard test). Both sinks must be
-  /// sized for the pool (width() >= pool width) and outlive the job.
+  /// Engine-wide telemetry sinks (EngineOptions), sized for the pool; null
+  /// when unobserved. The hot path accumulates into worker-locals and
+  /// flushes once per slice, so an attached registry costs a handful of
+  /// relaxed adds per ~slice_budget iterations (pinned by the obs overhead
+  /// guard test).
   obs::MetricsRegistry* metrics = nullptr;
   obs::TraceRing* trace = nullptr;
+
+  /// Topology placement (util::WorkerPlacement). numa_domains > 1 makes a
+  /// job configure a backend that supports it with a sched::StripeMap
+  /// during activate() (the queue is quiescent there) and open each
+  /// worker's session with that worker's domain, so same-domain stripes
+  /// are preferred and cross-domain traffic becomes the bounded steal
+  /// schedule. worker_domains maps pool worker id -> domain; when null,
+  /// workers fall back to a contiguous block split over numa_domains.
+  unsigned numa_domains = 1;
+  const std::vector<unsigned>* worker_domains = nullptr;
 };
 
 /// Parsed form of a --pop-batch CLI value. `batch` is the fixed size, or
@@ -253,10 +250,9 @@ class Job {
  public:
   virtual ~Job() = default;
 
-  /// Called once, by the engine, when the job becomes active; `pool_width`
-  /// is the number of workers that may call run_slice. No slice runs before
-  /// activation returns.
-  virtual void activate(unsigned pool_width) = 0;
+  /// Called once, by the engine, when the job becomes active. No slice runs
+  /// before activation returns.
+  virtual void activate(const EngineContext& ctx) = 0;
 
   /// Runs up to `budget` scheduler iterations on behalf of `worker`
   /// (a stable id < pool_width). Reports the iterations consumed and
@@ -289,10 +285,10 @@ class Job {
 /// stamping of the admit -> done interval.
 class TaskJobBase : public Job {
  public:
-  void activate(unsigned pool_width) override {
+  void activate(const EngineContext& ctx) override {
     retired_ = std::vector<util::Padded<std::atomic<std::uint32_t>>>(
-        pool_width);
-    stats_ = std::vector<util::Padded<core::ExecutionStats>>(pool_width);
+        ctx.pool_width);
+    stats_ = std::vector<util::Padded<core::ExecutionStats>>(ctx.pool_width);
     timer_.reset();
     if (n_ == 0) {
       done_seconds_ = 0.0;
@@ -349,8 +345,19 @@ class TaskJobBase : public Job {
   double done_seconds_ = 0.0;
 };
 
+/// A backend run in audit mode: every scheduler op goes through one lock
+/// into a RelaxationMonitor that keeps an exact order-statistics mirror, so
+/// every pop's rank error and the sampled per-element inversion counts
+/// (Definition 1) are measured in situ. The lock trades scalability for
+/// observability — audit a sampled subset of production jobs, not all of
+/// them. Built in place from (std::in_place, capacity, sample_stride,
+/// backend ctor args...); every registry backend qualifies.
+template <typename Queue>
+using AuditedQueue = sched::LockedScheduler<sched::RelaxationMonitor<Queue>>;
+
 /// The paper's relaxed concurrent loop (§4) as a multiplexable job. The
-/// problem, priorities and queue are caller-owned and must outlive the job.
+/// problem and priorities are caller-owned and must outlive the job; the
+/// queue is either borrowed likewise or owned by the job.
 template <core::Problem P, typename Queue>
 class RelaxedJob : public TaskJobBase {
  public:
@@ -360,28 +367,25 @@ class RelaxedJob : public TaskJobBase {
   /// (worker, job), not per slice.
   using Handle = decltype(sched::make_handle(std::declval<Queue&>()));
 
+  /// Runs over a caller-owned queue.
   RelaxedJob(P& problem, const graph::Priorities& pri, Queue& queue,
              const JobConfig& cfg = {})
-      : TaskJobBase(problem.num_tasks()),
-        problem_(&problem),
-        pri_(&pri),
-        queue_(&queue),
-        batch_(cfg.admission_batch == 0 ? 1 : cfg.admission_batch),
-        // Clamp defensively: a negative CLI value cast to uint32 would
-        // otherwise make activate() reserve a multi-GiB buffer per worker.
-        // The slice budget caps the effective batch per claim anyway.
-        pop_batch_(std::clamp<std::uint32_t>(cfg.pop_batch, 1,
-                                             JobConfig::kMaxPopBatch)),
-        adaptive_(cfg.pop_batch_auto),
-        weight_(std::clamp<std::uint32_t>(cfg.weight, 1,
-                                          JobConfig::kMaxWeight)),
-        numa_domains_(std::max(cfg.numa_domains, 1u)),
-        worker_domains_(cfg.worker_domains),
-        metrics_(cfg.metrics),
-        trace_(cfg.trace) {}
+      : RelaxedJob(problem, pri, cfg) {
+    queue_ = &queue;
+  }
 
-  void activate(unsigned pool_width) override {
-    TaskJobBase::activate(pool_width);
+  /// Runs over a queue the job owns, constructed in place from
+  /// `queue_args`.
+  template <typename... QueueArgs>
+  RelaxedJob(P& problem, const graph::Priorities& pri, const JobConfig& cfg,
+             std::in_place_t, QueueArgs&&... queue_args)
+      : RelaxedJob(problem, pri, cfg) {
+    queue_ = &owned_.emplace(std::forward<QueueArgs>(queue_args)...);
+  }
+
+  void activate(const EngineContext& ctx) override {
+    TaskJobBase::activate(ctx);
+    ctx_ = ctx;
     // Worker-local session state. Popped labels only ever live in `popped`
     // between a pop_batch claim and the processing loop a few lines below
     // it — never across a run_slice return. kNotReady labels accumulate in
@@ -389,7 +393,7 @@ class RelaxedJob : public TaskJobBase {
     // slice returns. The handle slot starts empty; each worker fills its
     // own on its first slice (activation runs on the submitting thread,
     // which must not construct handles the pool threads will drive).
-    pool_width_ = pool_width;
+    const unsigned pool_width = ctx.pool_width;
     // An adaptive job's cap also scales with the job: see
     // JobConfig::kAutoCapTasksPerClaim.
     const std::uint32_t cap =
@@ -416,15 +420,15 @@ class RelaxedJob : public TaskJobBase {
     // than one domain and the backend partitions into sub-queues, hand it
     // the matching StripeMap now — activation runs before any slice, so
     // the quiescence requirement on set_stripe_map holds even for
-    // caller-owned queues. Backends without the surface (SprayList's is a
+    // borrowed queues. Backends without the surface (SprayList's is a
     // documented no-op; monitors/wrappers lack it entirely) stay flat.
     if constexpr (requires(Queue& q, const sched::StripeMap& m) {
                     q.num_queues();
                     q.set_stripe_map(m);
                   }) {
-      if (numa_domains_ > 1) {
+      if (ctx.numa_domains > 1) {
         queue_->set_stripe_map(sched::StripeMap(
-            static_cast<std::size_t>(queue_->num_queues()), numa_domains_));
+            static_cast<std::size_t>(queue_->num_queues()), ctx.numa_domains));
       }
     }
     // Schedulers with a quiescent bulk_load but no live bulk_insert
@@ -445,10 +449,27 @@ class RelaxedJob : public TaskJobBase {
   }
 
   /// Session teardown: drops every worker's cached handle (and with it the
-  /// last pointer a worker holds into a caller-owned queue). Called by the
+  /// last pointer a worker holds into a borrowed queue). Called by the
   /// engine after all slices have returned, so no handle is in use.
   void retire() noexcept override {
     for (auto& ws : workers_) ws->handle.reset();
+  }
+
+  /// The merged stats, plus the monitor's Definition 1 measurements when
+  /// the queue is audited (AuditedQueue).
+  core::ExecutionStats collect() override {
+    core::ExecutionStats total = TaskJobBase::collect();
+    if constexpr (requires(Queue& q) { q.inner().rank_histogram(); }) {
+      const auto& monitor = queue_->inner();
+      const auto& ranks = monitor.rank_histogram();
+      const auto& inversions = monitor.inversion_histogram();
+      total.rank_samples = ranks.total();
+      total.mean_rank_error = ranks.mean();
+      total.max_rank_error = ranks.max_value();
+      total.inversion_samples = inversions.total();
+      total.mean_inversions = inversions.mean();
+    }
+    return total;
   }
 
   [[nodiscard]] std::uint32_t weight() const noexcept override {
@@ -469,12 +490,13 @@ class RelaxedJob : public TaskJobBase {
       // split otherwise). Flat (single-domain) jobs skip the call — the
       // backends treat domain 0 of a 1-domain map as the flat path anyway.
       if constexpr (requires(Handle& h) { h.set_domain(0u); }) {
-        if (numa_domains_ > 1) {
+        if (ctx_.numa_domains > 1) {
           ws.handle->set_domain(
-              worker_domains_ != nullptr &&
-                      worker < worker_domains_->size()
-                  ? (*worker_domains_)[worker]
-                  : worker * numa_domains_ / std::max(pool_width_, 1u));
+              ctx_.worker_domains != nullptr &&
+                      worker < ctx_.worker_domains->size()
+                  ? (*ctx_.worker_domains)[worker]
+                  : worker * ctx_.numa_domains /
+                        std::max(ctx_.pool_width, 1u));
         }
       }
     }
@@ -489,11 +511,12 @@ class RelaxedJob : public TaskJobBase {
     // and controller tally now; the deltas at slice end are this slice's
     // contribution.
     obs::WorkerMetrics* wm =
-        metrics_ != nullptr && worker < metrics_->width()
-            ? &metrics_->worker(worker)
+        ctx_.metrics != nullptr && worker < ctx_.metrics->width()
+            ? &ctx_.metrics->worker(worker)
             : nullptr;
     obs::TraceRing* trace =
-        trace_ != nullptr && worker < trace_->width() ? trace_ : nullptr;
+        ctx_.trace != nullptr && worker < ctx_.trace->width() ? ctx_.trace
+                                                              : nullptr;
     const std::uint64_t processed0 = stats.processed;
     const std::uint64_t failed0 = stats.failed_deletes;
     const std::uint64_t dead0 = stats.dead_skips;
@@ -639,6 +662,22 @@ class RelaxedJob : public TaskJobBase {
   }
 
  private:
+  /// Shared by the public constructors, which then set queue_.
+  RelaxedJob(P& problem, const graph::Priorities& pri, const JobConfig& cfg)
+      : TaskJobBase(problem.num_tasks()),
+        problem_(&problem),
+        pri_(&pri),
+        // Clamp defensively: a negative CLI value cast to uint32 would
+        // otherwise make activate() reserve a multi-GiB buffer per worker.
+        // The slice budget caps the effective batch per claim anyway.
+        pop_batch_(std::clamp<std::uint32_t>(cfg.pop_batch, 1,
+                                             JobConfig::kMaxPopBatch)),
+        adaptive_(cfg.pop_batch_auto),
+        weight_(std::clamp<std::uint32_t>(cfg.weight, 1,
+                                          JobConfig::kMaxWeight)) {}
+
+  /// Labels admitted per claimed chunk of the initial label range.
+  static constexpr std::uint32_t kAdmissionBatch = 1024;
   /// Optional problem hook (core/problem.h): warm a task's state before
   /// try_process reaches it.
   static constexpr bool kHasPrefetch =
@@ -724,10 +763,10 @@ class RelaxedJob : public TaskJobBase {
   bool admit_chunk(Handle& handle) {
     if (load_cursor_.load(std::memory_order_relaxed) >= n_) return false;
     const std::uint64_t lo =
-        load_cursor_.fetch_add(batch_, std::memory_order_acq_rel);
+        load_cursor_.fetch_add(kAdmissionBatch, std::memory_order_acq_rel);
     if (lo >= n_) return false;
     const std::uint32_t hi = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(n_, lo + batch_));
+        std::min<std::uint64_t>(n_, lo + kAdmissionBatch));
     BatchInserter<Handle> inserter(handle, hi - static_cast<std::uint32_t>(lo));
     for (std::uint32_t label = static_cast<std::uint32_t>(lo); label < hi;
          ++label)
@@ -737,105 +776,14 @@ class RelaxedJob : public TaskJobBase {
 
   P* problem_;
   const graph::Priorities* pri_;
-  Queue* queue_;
-  std::uint32_t batch_;
+  std::optional<Queue> owned_;  // engaged when the job owns its queue
+  Queue* queue_ = nullptr;      // &*owned_, or the borrowed queue
   std::uint32_t pop_batch_;
   bool adaptive_;
-  std::uint32_t weight_;           // QoS tenant weight (clamped)
-  unsigned numa_domains_;          // > 1 enables topology-aware striping
-  const std::vector<unsigned>* worker_domains_;  // engine placement table
-  unsigned pool_width_ = 0;        // set by activate()
-  obs::MetricsRegistry* metrics_;  // optional engine telemetry sink
-  obs::TraceRing* trace_;          // optional Chrome-trace event ring
+  std::uint32_t weight_;        // QoS tenant weight (clamped)
+  EngineContext ctx_;           // set by activate()
   std::vector<util::Padded<WorkerState>> workers_;
   std::atomic<std::uint64_t> load_cursor_{0};
-};
-
-/// Relaxed job that owns its scheduler, constructed in place from the
-/// forwarded constructor arguments. Backend-generic: any registered backend
-/// (ConcurrentMultiQueue, LockFreeMultiQueue, SprayList, LockedScheduler
-/// wrappers, ...) becomes a first-class engine job through this one class —
-/// the engine's default submit_relaxed is just the ConcurrentMultiQueue
-/// instantiation, and engine/backend_jobs.h instantiates it for every
-/// registry entry.
-template <core::Problem P, typename Queue>
-class OwningRelaxedJob : public Job {
- public:
-  template <typename... QueueArgs>
-  OwningRelaxedJob(P& problem, const graph::Priorities& pri,
-                   const JobConfig& cfg, QueueArgs&&... queue_args)
-      : queue_(std::forward<QueueArgs>(queue_args)...),
-        job_(problem, pri, queue_, cfg) {}
-
-  void activate(unsigned pool_width) override { job_.activate(pool_width); }
-  SliceResult run_slice(unsigned worker, std::uint32_t budget) override {
-    return job_.run_slice(worker, budget);
-  }
-  void retire() noexcept override { job_.retire(); }
-  [[nodiscard]] std::uint32_t weight() const noexcept override {
-    return job_.weight();
-  }
-  [[nodiscard]] bool finished() const noexcept override {
-    return job_.finished();
-  }
-  core::ExecutionStats collect() override { return job_.collect(); }
-
- private:
-  Queue queue_;
-  RelaxedJob<P, Queue> job_;
-};
-
-/// Opt-in production quality sampling (JobConfig::monitor_relaxation): the
-/// job's owned backend is driven through a RelaxationMonitor so every pop's
-/// rank error and the sampled per-element inversion counts (Definition 1)
-/// are measured in situ, then reported in ExecutionStats. The monitor's
-/// exact order-statistics mirror requires serializing scheduler ops through
-/// one lock, so this mode trades scalability for observability — use it on
-/// a sampled subset of production jobs, not all of them. Works for any
-/// backend whose single-threaded convenience API satisfies
-/// sched::SequentialView's needs (all registry backends qualify).
-template <core::Problem P, typename Queue = sched::ConcurrentMultiQueue>
-class MonitoredRelaxedJob : public Job {
- public:
-  using Monitor = sched::RelaxationMonitor<sched::SequentialView<Queue>>;
-
-  template <typename... QueueArgs>
-  MonitoredRelaxedJob(P& problem, const graph::Priorities& pri,
-                      const JobConfig& cfg, QueueArgs&&... queue_args)
-      : queue_(std::forward<QueueArgs>(queue_args)...),
-        monitored_(Monitor(sched::SequentialView<Queue>(queue_),
-                           problem.num_tasks(), cfg.monitor_stride)),
-        job_(problem, pri, monitored_, cfg) {}
-
-  void activate(unsigned pool_width) override { job_.activate(pool_width); }
-  SliceResult run_slice(unsigned worker, std::uint32_t budget) override {
-    return job_.run_slice(worker, budget);
-  }
-  void retire() noexcept override { job_.retire(); }
-  [[nodiscard]] std::uint32_t weight() const noexcept override {
-    return job_.weight();
-  }
-  [[nodiscard]] bool finished() const noexcept override {
-    return job_.finished();
-  }
-
-  core::ExecutionStats collect() override {
-    auto total = job_.collect();
-    auto& monitor = monitored_.inner();
-    const auto& ranks = monitor.rank_histogram();
-    const auto& inversions = monitor.inversion_histogram();
-    total.rank_samples = ranks.total();
-    total.mean_rank_error = ranks.mean();
-    total.max_rank_error = ranks.max_value();
-    total.inversion_samples = inversions.total();
-    total.mean_inversions = inversions.mean();
-    return total;
-  }
-
- private:
-  Queue queue_;
-  sched::LockedScheduler<Monitor> monitored_;
-  RelaxedJob<P, sched::LockedScheduler<Monitor>> job_;
 };
 
 /// The exact baseline (§4) as a job: tasks pre-loaded in strict priority
@@ -859,16 +807,16 @@ class ExactJob : public TaskJobBase {
     return weight_;
   }
 
-  void activate(unsigned pool_width) override {
+  void activate(const EngineContext& ctx) override {
     // Load inside activation, after the timer reset in the base activate:
     // the n-label load is charged to the timed window exactly like the
     // relaxed jobs' batched admission — keeping relaxed-vs-exact wall-time
     // comparisons symmetric.
-    TaskJobBase::activate(pool_width);
+    TaskJobBase::activate(ctx);
     std::vector<std::uint32_t> labels(n_);
     std::iota(labels.begin(), labels.end(), 0u);
     queue_.load(std::move(labels));
-    slots_ = std::vector<util::Padded<Slot>>(pool_width);
+    slots_ = std::vector<util::Padded<Slot>>(ctx.pool_width);
   }
 
   SliceResult run_slice(unsigned worker, std::uint32_t budget) override {

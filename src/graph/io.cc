@@ -1,5 +1,6 @@
 #include "graph/io.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -10,6 +11,9 @@ namespace relax::graph {
 namespace {
 
 constexpr std::uint64_t kBinaryMagic = 0x52454c4758454c31ULL;  // "RELGXEL1"
+
+/// Most edges a text read reserves up front (8 MiB of Edge).
+constexpr unsigned long long kMaxTextReserve = 1ull << 20;
 
 struct FileCloser {
   void operator()(std::FILE* f) const noexcept {
@@ -41,8 +45,11 @@ Graph read_edge_list(const std::string& path) {
   unsigned long long m = 0;
   if (std::fscanf(f.get(), "%u %llu", &n, &m) != 2)
     throw std::runtime_error("bad edge list header in " + path);
+  // The header's count is a claim, not a size: reserve at most a bounded
+  // prefix and let the vector grow as edges actually arrive.
   std::vector<Edge> edges;
-  edges.reserve(m);
+  edges.reserve(static_cast<std::size_t>(
+      std::min<unsigned long long>(m, kMaxTextReserve)));
   unsigned u = 0, v = 0;
   while (std::fscanf(f.get(), "%u %u", &u, &v) == 2)
     edges.emplace_back(u, v);
@@ -89,6 +96,19 @@ Graph read_binary(const std::string& path) {
       magic != kBinaryMagic || std::fread(&n, sizeof n, 1, f.get()) != 1 ||
       std::fread(&m, sizeof m, 1, f.get()) != 1)
     throw std::runtime_error("bad binary graph header in " + path);
+  // Check the header's edge count against the bytes actually present before
+  // sizing any buffer from it: a short file claiming billions of edges is
+  // truncated, not a reason to allocate gigabytes.
+  const long header_end = std::ftell(f.get());
+  if (header_end < 0 || std::fseek(f.get(), 0, SEEK_END) != 0)
+    throw std::runtime_error("cannot seek in " + path);
+  const long file_end = std::ftell(f.get());
+  if (file_end < header_end ||
+      std::fseek(f.get(), header_end, SEEK_SET) != 0)
+    throw std::runtime_error("cannot seek in " + path);
+  if (m > static_cast<std::uint64_t>(file_end - header_end) /
+              (2 * sizeof(std::uint32_t)))
+    throw std::runtime_error("truncated binary graph " + path);
   std::vector<Edge> edges(m);
   std::vector<std::uint32_t> raw(static_cast<std::size_t>(m) * 2);
   if (std::fread(raw.data(), sizeof(std::uint32_t), raw.size(), f.get()) !=

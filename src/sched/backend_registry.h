@@ -6,7 +6,7 @@
 // windows), all interchangeable behind Insert/ApproxGetMin. The registry
 // makes that family operational: each entry maps a stable name (the key
 // used by `relaxsched --backend=`, `bench/backend_matrix`, the engine's
-// submit_relaxed_backend, and the conformance/quality test fixtures) to the
+// make_backend_job, and the conformance/quality test fixtures) to the
 // backend's kind, its sampling parameters, and metadata (deterministic?
 // lock-serialized adapter or genuinely scalable?).
 //

@@ -62,7 +62,7 @@ auto make_handle(Queue& queue) {
 
 /// SequentialScheduler view over a concurrent backend's single-threaded
 /// convenience API; only valid while no concurrent operations are in
-/// flight (or under an external lock — see engine::MonitoredRelaxedJob).
+/// flight (or under an external lock, as in sched::LockedScheduler).
 template <typename Queue>
 class SequentialView {
  public:

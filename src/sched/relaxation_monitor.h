@@ -21,6 +21,7 @@
 #include <optional>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "sched/order_stat_set.h"
@@ -37,6 +38,15 @@ class RelaxationMonitor {
   RelaxationMonitor(Inner inner, std::uint32_t capacity,
                     std::uint32_t sample_stride = 1)
       : inner_(std::move(inner)),
+        mirror_(capacity),
+        stride_(sample_stride == 0 ? 1 : sample_stride) {}
+
+  /// Same, but the monitor owns the scheduler it measures, constructed in
+  /// place from `inner_args` (concurrent backends are not movable).
+  template <typename... Args>
+  RelaxationMonitor(std::in_place_t, std::uint32_t capacity,
+                    std::uint32_t sample_stride, Args&&... inner_args)
+      : inner_(std::forward<Args>(inner_args)...),
         mirror_(capacity),
         stride_(sample_stride == 0 ? 1 : sample_stride) {}
 

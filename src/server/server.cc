@@ -351,27 +351,28 @@ protocol::Status JobServer::admit_request(
       };
 
   ResidentGraph& rg = graphs_[req.graph_id];
+  const auto try_admit = [&](auto& problem, const graph::Priorities& pri) {
+    return engine_->try_submit(
+        engine::make_backend_job(*backend, problem, pri, engine_->width(),
+                                 cfg),
+        std::move(on_complete));
+  };
   std::optional<engine::JobTicket> ticket;
   switch (req.kind) {
     case protocol::Kind::kMis:
       holder->mis = std::make_unique<algorithms::AtomicMisProblem>(
           rg.g, rg.vertex_pri);
-      ticket = engine_->try_submit_relaxed_backend(
-          *holder->mis, rg.vertex_pri, *backend, cfg, std::move(on_complete));
+      ticket = try_admit(*holder->mis, rg.vertex_pri);
       break;
     case protocol::Kind::kColoring:
       holder->coloring = std::make_unique<algorithms::AtomicColoringProblem>(
           rg.g, rg.vertex_pri);
-      ticket = engine_->try_submit_relaxed_backend(
-          *holder->coloring, rg.vertex_pri, *backend, cfg,
-          std::move(on_complete));
+      ticket = try_admit(*holder->coloring, rg.vertex_pri);
       break;
     case protocol::Kind::kMatching:
       holder->matching = std::make_unique<algorithms::AtomicMatchingProblem>(
           rg.incidence, rg.edge_pri);
-      ticket = engine_->try_submit_relaxed_backend(
-          *holder->matching, rg.edge_pri, *backend, cfg,
-          std::move(on_complete));
+      ticket = try_admit(*holder->matching, rg.edge_pri);
       break;
   }
   if (!ticket) {  // admission full: shed with BUSY, never queue unboundedly

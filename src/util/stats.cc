@@ -111,12 +111,6 @@ std::string ExponentialHistogram::to_string() const {
   return os.str();
 }
 
-void DenseHistogram::add(std::size_t value) {
-  if (value >= counts_.size()) counts_.resize(value + 1, 0);
-  ++counts_[value];
-  ++total_;
-}
-
 double percentile(std::vector<double> sample, double p) {
   if (sample.empty()) return std::numeric_limits<double>::quiet_NaN();
   std::sort(sample.begin(), sample.end());

@@ -85,23 +85,6 @@ class ExponentialHistogram {
   std::uint64_t max_ = 0;
 };
 
-/// Simple dense histogram for small integer domains (e.g. color counts).
-class DenseHistogram {
- public:
-  void add(std::size_t value);
-  [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
-  [[nodiscard]] std::uint64_t at(std::size_t value) const noexcept {
-    return value < counts_.size() ? counts_[value] : 0;
-  }
-  [[nodiscard]] std::size_t max_value() const noexcept {
-    return counts_.empty() ? 0 : counts_.size() - 1;
-  }
-
- private:
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-};
-
 /// Percentile from an unsorted sample (copies + sorts; for bench reporting).
 [[nodiscard]] double percentile(std::vector<double> sample, double p);
 

@@ -206,7 +206,8 @@ TEST(EngineBackend, MonitoredBatchedJobStaysInBatchEnvelope) {
   cfg.monitor_relaxation = true;
   cfg.monitor_stride = 16;
   const auto stats =
-      eng.submit_relaxed_backend(problem, fix.pri, "multiqueue-c2", cfg)
+      eng.submit_relaxed_backend(problem, fix.pri,
+                                 sched::backend_or_throw("multiqueue-c2"), cfg)
           .wait();
   EXPECT_EQ(problem.result(), fix.expected);
   EXPECT_GT(stats.rank_samples, 0u);
@@ -254,8 +255,9 @@ TEST(EngineBackend, MonitoredBackendJobReportsQuality) {
     cfg.monitor_relaxation = true;
     cfg.monitor_stride = 16;
     const auto stats =
-        eng.submit_relaxed_backend(problem, fix.pri, "lockfree-multiqueue",
-                                   cfg)
+        eng.submit_relaxed_backend(
+               problem, fix.pri,
+               sched::backend_or_throw("lockfree-multiqueue"), cfg)
             .wait();
     EXPECT_EQ(problem.result(), fix.expected);
     EXPECT_GT(stats.rank_samples, 0u);
@@ -270,7 +272,9 @@ TEST(EngineBackend, MonitoredBackendJobReportsQuality) {
     cfg.seed = 37;
     cfg.monitor_relaxation = true;
     const auto stats =
-        eng.submit_relaxed_backend(problem, fix.pri, "kbounded", cfg).wait();
+        eng.submit_relaxed_backend(problem, fix.pri,
+                                   sched::backend_or_throw("kbounded"), cfg)
+            .wait();
     EXPECT_EQ(problem.result(), fix.expected);
     EXPECT_GT(stats.rank_samples, 0u);
     EXPECT_LT(stats.max_rank_error, cfg.queue_factor * eng.width());
@@ -286,7 +290,9 @@ TEST(EngineBackend, ExplicitRelaxationKIsHonoured) {
   cfg.relaxation_k = 3;
   cfg.monitor_relaxation = true;
   const auto stats =
-      eng.submit_relaxed_backend(problem, fix.pri, "kbounded", cfg).wait();
+      eng.submit_relaxed_backend(problem, fix.pri,
+                                 sched::backend_or_throw("kbounded"), cfg)
+          .wait();
   EXPECT_EQ(problem.result(), fix.expected);
   EXPECT_LT(stats.max_rank_error, 3u);
 }
@@ -308,7 +314,8 @@ TEST(EngineBackend, WeightedJobsStayDeterministic) {
     cfg.seed = 81 + i;
     cfg.weight = weights[i];
     tickets.push_back(eng.submit_relaxed_backend(
-        *problems.back(), fix.pri, "multiqueue-c2", cfg));
+        *problems.back(), fix.pri, sched::backend_or_throw("multiqueue-c2"),
+        cfg));
   }
   for (std::size_t i = 0; i < 3; ++i) {
     SCOPED_TRACE(std::string("weight: ") + std::to_string(weights[i]));
@@ -322,7 +329,9 @@ TEST(EngineBackend, WeightedJobsStayDeterministic) {
   JobConfig cfg;
   cfg.seed = 91;
   cfg.weight = JobConfig::kMaxWeight;
-  (void)eng.submit_relaxed_backend(solo, fix.pri, "multiqueue-c2", cfg)
+  (void)eng
+      .submit_relaxed_backend(solo, fix.pri,
+                              sched::backend_or_throw("multiqueue-c2"), cfg)
       .wait();
   EXPECT_EQ(solo.result(), fix.expected);
 }
@@ -332,10 +341,12 @@ TEST(EngineBackend, UnknownBackendNameThrowsWithValidList) {
   SchedulingEngine eng(engine_opts(1, 1));
   algorithms::AtomicMisProblem problem(fix.g, fix.pri);
   EXPECT_THROW(
-      (void)eng.submit_relaxed_backend(problem, fix.pri, "no-such-backend"),
+      (void)eng.submit_relaxed_backend(
+          problem, fix.pri, sched::backend_or_throw("no-such-backend")),
       std::invalid_argument);
   try {
-    (void)eng.submit_relaxed_backend(problem, fix.pri, "no-such-backend");
+    (void)eng.submit_relaxed_backend(
+        problem, fix.pri, sched::backend_or_throw("no-such-backend"));
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("multiqueue-c2"), std::string::npos);
   }

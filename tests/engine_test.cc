@@ -26,6 +26,7 @@
 #include "sched/concurrent_multiqueue.h"
 #include "sched/kbounded.h"
 #include "sched/spraylist.h"
+#include "util/topology.h"
 
 namespace relax::engine {
 namespace {
@@ -48,13 +49,22 @@ JobConfig job_cfg(std::uint64_t seed) {
   return cfg;
 }
 
+/// A relaxed job on the registry's default backend.
+template <core::Problem P>
+JobTicket submit_default(SchedulingEngine& eng, P& problem,
+                         const graph::Priorities& pri,
+                         const JobConfig& cfg = {}) {
+  return eng.submit_relaxed_backend(problem, pri, sched::default_backend(),
+                                    cfg);
+}
+
 TEST(SchedulingEngine, SingleJobMatchesSequential) {
   const Graph g = graph::gnm(3000, 20000, 3);
   const auto pri = graph::random_priorities(3000, 7);
   const auto expected = algorithms::sequential_greedy_mis(g, pri);
   SchedulingEngine eng(engine_opts(4, 1));
   algorithms::AtomicMisProblem problem(g, pri);
-  const auto stats = eng.submit_relaxed(problem, pri, job_cfg(1)).wait();
+  const auto stats = submit_default(eng, problem, pri, job_cfg(1)).wait();
   EXPECT_EQ(problem.result(), expected);
   EXPECT_EQ(stats.processed + stats.dead_skips, 3000u);
   EXPECT_EQ(stats.iterations,
@@ -96,17 +106,21 @@ TEST(SchedulingEngine, ConcurrentHeterogeneousJobsAreDeterministic) {
   // Each client thread submits one job and waits on its own ticket.
   std::vector<std::jthread> clients;
   clients.emplace_back([&] {
-    const auto stats = eng.submit_relaxed(mis, pri1, job_cfg(2)).wait();
+    const auto stats = submit_default(eng, mis, pri1, job_cfg(2)).wait();
     EXPECT_EQ(stats.processed + stats.dead_skips, 2000u);
   });
   clients.emplace_back([&] {
-    eng.submit_relaxed(coloring, pri2, job_cfg(3)).wait();
+    submit_default(eng, coloring, pri2, job_cfg(3)).wait();
   });
   clients.emplace_back([&] {
-    eng.submit_relaxed(matching, pri3, job_cfg(5)).wait();
+    submit_default(eng, matching, pri3, job_cfg(5)).wait();
   });
   clients.emplace_back([&] {
-    eng.submit_exact(contraction, pri4, job_cfg(7)).wait();
+    using ExactContraction =
+        ExactJob<algorithms::AtomicListContractionProblem>;
+    eng.submit(std::make_shared<ExactContraction>(contraction, pri4,
+                                                  job_cfg(7)))
+        .wait();
   });
   clients.clear();  // join all
 
@@ -137,11 +151,11 @@ TEST(SchedulingEngine, JobStreamFromMultipleSubmitters) {
   {
     std::jthread mis_client([&] {
       for (int i = 0; i < kPerClient; ++i)
-        eng.submit_relaxed(mis_problems[i], pri, job_cfg(100 + i)).wait();
+        submit_default(eng, mis_problems[i], pri, job_cfg(100 + i)).wait();
     });
     std::jthread color_client([&] {
       for (int i = 0; i < kPerClient; ++i)
-        eng.submit_relaxed(color_problems[i], pri, job_cfg(200 + i)).wait();
+        submit_default(eng, color_problems[i], pri, job_cfg(200 + i)).wait();
     });
   }
   for (int i = 0; i < kPerClient; ++i) {
@@ -176,13 +190,13 @@ TEST(SchedulingEngine, AdmissionQueueBlocksInsteadOfDropping) {
   const auto pri = graph::identity_priorities(64);
 
   SchedulingEngine eng(engine_opts(2, /*in_flight=*/1, /*max_pending=*/1));
-  auto t1 = eng.submit_relaxed(j1, pri, job_cfg(1));  // active, gated
-  auto t2 = eng.submit_relaxed(j2, pri, job_cfg(2));  // fills the queue
+  auto t1 = submit_default(eng, j1, pri, job_cfg(1));  // active, gated
+  auto t2 = submit_default(eng, j2, pri, job_cfg(2));  // fills the queue
 
   std::atomic<bool> third_submitted{false};
   JobTicket t3;
   std::jthread submitter([&] {
-    t3 = eng.submit_relaxed(j3, pri, job_cfg(3));  // must block here
+    t3 = submit_default(eng, j3, pri, job_cfg(3));  // must block here
     third_submitted.store(true, std::memory_order_release);
   });
 
@@ -291,7 +305,7 @@ TEST(SchedulingEngine, MonitoredJobReportsRelaxationQuality) {
   JobConfig cfg = job_cfg(61);
   cfg.monitor_relaxation = true;
   cfg.monitor_stride = 16;
-  const auto stats = eng.submit_relaxed(problem, pri, cfg).wait();
+  const auto stats = submit_default(eng, problem, pri, cfg).wait();
   EXPECT_EQ(problem.result(), expected);
   EXPECT_GT(stats.rank_samples, 0u);
   EXPECT_EQ(stats.rank_samples, stats.iterations);  // every pop sampled
@@ -300,7 +314,7 @@ TEST(SchedulingEngine, MonitoredJobReportsRelaxationQuality) {
                                       stats.mean_rank_error));
   // Unmonitored runs must not report quality fields.
   algorithms::AtomicMisProblem plain(g, pri);
-  const auto plain_stats = eng.submit_relaxed(plain, pri, job_cfg(61)).wait();
+  const auto plain_stats = submit_default(eng, plain, pri, job_cfg(61)).wait();
   EXPECT_EQ(plain_stats.rank_samples, 0u);
 }
 
@@ -309,7 +323,7 @@ TEST(SchedulingEngine, EmptyJobCompletesImmediately) {
   const auto pri = graph::identity_priorities(0);
   std::atomic<bool> gate{true};
   GatedProblem empty(0, gate);
-  const auto stats = eng.submit_relaxed(empty, pri, job_cfg(1)).wait();
+  const auto stats = submit_default(eng, empty, pri, job_cfg(1)).wait();
   EXPECT_EQ(stats.processed, 0u);
   EXPECT_EQ(stats.iterations, 0u);
 }
@@ -322,7 +336,7 @@ class SpinJob final : public Job {
   SpinJob(std::uint32_t weight, const std::atomic<bool>* stop)
       : weight_(weight), stop_(stop) {}
 
-  void activate(unsigned) override {}
+  void activate(const EngineContext&) override {}
 
   SliceResult run_slice(unsigned, std::uint32_t budget) override {
     std::uint32_t prev = min_budget_.load(std::memory_order_relaxed);
@@ -427,7 +441,7 @@ TEST(SchedulingEngine, DestructorDrainsOutstandingJobs) {
   for (int i = 0; i < 4; ++i) problems.emplace_back(g, pri);
   {
     SchedulingEngine eng(engine_opts(4, 2));
-    for (auto& p : problems) eng.submit_relaxed(p, pri, job_cfg(5));
+    for (auto& p : problems) submit_default(eng, p, pri, job_cfg(5));
     // No wait(): the destructor must finish all four jobs.
   }
   for (auto& p : problems) EXPECT_EQ(p.result(), expected);
@@ -450,7 +464,7 @@ TEST(SchedulingEngine, DefaultConfigClaimsInBatches) {
   opts.metrics = &registry;
   SchedulingEngine eng(opts);
   algorithms::AtomicMisProblem problem(g, pri);
-  eng.submit_relaxed(problem, pri).wait();
+  submit_default(eng, problem, pri).wait();
   EXPECT_EQ(problem.result(), algorithms::sequential_greedy_mis(g, pri));
   std::uint64_t pops = 0, claims = 0;
   for (const auto& w : registry.snapshot().workers) {
@@ -471,11 +485,39 @@ TEST(SchedulingEngine, SmallAdaptiveJobCapsClaimsByJobSize) {
   opts.metrics = &registry;
   SchedulingEngine eng(opts);
   algorithms::AtomicMisProblem problem(g, pri);
-  eng.submit_relaxed(problem, pri).wait();
+  submit_default(eng, problem, pri).wait();
   EXPECT_EQ(problem.result(), algorithms::sequential_greedy_mis(g, pri));
   const obs::MetricsSnapshot snap = registry.snapshot();
   EXPECT_GT(snap.claim_size.max(), 1u);  // the job did claim in batches
   EXPECT_LE(snap.claim_size.max(), kN / (2 * JobConfig::kAutoCapTasksPerClaim));
+}
+
+// A job built outside the engine and handed to plain try_submit still gets
+// the engine's context at activation: it reports into the engine's
+// registry and its sessions follow the engine's (virtual:2) placement.
+TEST(SchedulingEngine, PrebuiltJobGetsEngineTelemetryAndPlacement) {
+  const Graph g = graph::gnm(20000, 100000, 131);
+  const auto pri = graph::random_priorities(20000, 137);
+  obs::MetricsRegistry registry;
+  auto opts = engine_opts(2, 1);
+  opts.metrics = &registry;
+  opts.topology = *util::TopologySpec::parse("virtual:2");
+  SchedulingEngine eng(opts);
+  algorithms::AtomicMisProblem problem(g, pri);
+  auto job = make_backend_job(sched::default_backend(), problem, pri,
+                              eng.width(), job_cfg(9));
+  auto ticket = eng.try_submit(std::move(job));
+  ASSERT_TRUE(ticket.has_value());
+  const auto stats = ticket->wait();
+  EXPECT_EQ(problem.result(), algorithms::sequential_greedy_mis(g, pri));
+  std::uint64_t processed = 0, placed_claims = 0;
+  for (const auto& w : registry.snapshot().workers) {
+    processed += w.processed;
+    placed_claims += w.numa_local_claims + w.numa_steal_claims;
+  }
+  EXPECT_GT(stats.processed, 0u);
+  EXPECT_EQ(processed, stats.processed);
+  EXPECT_GT(placed_claims, 0u);
 }
 
 /// AtomicMisProblem plus the optional prefetch hook, counting its calls.
@@ -513,9 +555,9 @@ TEST(SchedulingEngine, PrefetchHookRunsOncePerPoppedLabelAtMost) {
   const auto pri = graph::random_priorities(20000, 127);
   SchedulingEngine eng(engine_opts(4, 1));
   CountingPrefetchMis hooked(g, pri);
-  const auto stats = eng.submit_relaxed(hooked, pri, job_cfg(3)).wait();
+  const auto stats = submit_default(eng, hooked, pri, job_cfg(3)).wait();
   algorithms::AtomicMisProblem plain(g, pri);
-  eng.submit_relaxed(plain, pri, job_cfg(3)).wait();
+  submit_default(eng, plain, pri, job_cfg(3)).wait();
   EXPECT_GT(hooked.calls(), 0u);
   EXPECT_EQ(hooked.out_of_range(), 0u);
   EXPECT_LE(hooked.calls(), stats.iterations);
@@ -550,7 +592,7 @@ TEST(SchedulingEngine, RepeatBlockedLabelBacksOff) {
   const auto pri = graph::identity_priorities(kN);
   SchedulingEngine eng(engine_opts(2, 1));
   StalledBlockerProblem problem(kN, std::chrono::milliseconds(30));
-  const auto stats = eng.submit_relaxed(problem, pri, job_cfg(7)).wait();
+  const auto stats = submit_default(eng, problem, pri, job_cfg(7)).wait();
   EXPECT_EQ(stats.processed, kN);
   EXPECT_GT(stats.failed_deletes, 0u);
   EXPECT_LT(stats.failed_deletes, 2000u);

@@ -113,5 +113,43 @@ TEST_F(IoTest, BinaryRejectsOutOfRangeIds) {
   }
 }
 
+// A header claiming 2^31 edges over a file that holds none must fail with
+// the reader's own error, before any buffer is sized from the claim.
+TEST_F(IoTest, BinaryRejectsEdgeCountBeyondFileSize) {
+  const auto path = temp_path("huge.bel");
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  const std::uint64_t magic = 0x52454c4758454c31ULL;  // "RELGXEL1"
+  const std::uint32_t n = 10;
+  const std::uint64_t m = 1ull << 31;
+  std::fwrite(&magic, sizeof magic, 1, f);
+  std::fwrite(&n, sizeof n, 1, f);
+  std::fwrite(&m, sizeof m, 1, f);
+  std::fclose(f);
+  try {
+    (void)read_binary(path);
+    ADD_FAILURE() << "read_binary accepted a truncated file";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos)
+        << e.what();
+  }
+  std::remove(path.c_str());
+}
+
+TEST_F(IoTest, TextRejectsEdgeCountBeyondFileContents) {
+  const auto path = temp_path("huge.el");
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  std::fputs("10 2147483648\n0 1\n", f);
+  std::fclose(f);
+  try {
+    (void)read_edge_list(path);
+    ADD_FAILURE() << "read_edge_list accepted a short file";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("edge count mismatch"),
+              std::string::npos)
+        << e.what();
+  }
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace relax::graph

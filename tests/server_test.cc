@@ -212,8 +212,10 @@ TEST(JobServer, ShedsBusyWhenAdmissionIsFull) {
   std::atomic<bool> gate{false};
   GatedProblem j1(64, gate), j2(64, gate);
   const auto pri = relax::graph::identity_priorities(64);
-  auto t1 = server.engine().submit_relaxed(j1, pri, {});  // active, gated
-  auto t2 = server.engine().submit_relaxed(j2, pri, {});  // fills the queue
+  const relax::sched::BackendInfo& backend = relax::sched::default_backend();
+  auto& eng = server.engine();
+  auto t1 = eng.submit_relaxed_backend(j1, pri, backend);  // active, gated
+  auto t2 = eng.submit_relaxed_backend(j2, pri, backend);  // fills the queue
 
   const int fd = dial(server.port());
   ASSERT_GE(fd, 0);

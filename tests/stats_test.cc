@@ -89,18 +89,6 @@ TEST(ExponentialHistogram, MergeAccumulates) {
   EXPECT_EQ(a.max_value(), 100u);
 }
 
-TEST(DenseHistogram, CountsAndGrowth) {
-  DenseHistogram h;
-  h.add(0);
-  h.add(3);
-  h.add(3);
-  EXPECT_EQ(h.total(), 3u);
-  EXPECT_EQ(h.at(0), 1u);
-  EXPECT_EQ(h.at(3), 2u);
-  EXPECT_EQ(h.at(7), 0u);
-  EXPECT_EQ(h.max_value(), 3u);
-}
-
 TEST(Percentile, InterpolatesBetweenPoints) {
   std::vector<double> v{1, 2, 3, 4, 5};
   EXPECT_DOUBLE_EQ(percentile(v, 0), 1.0);

@@ -72,7 +72,10 @@ TEST(Theorem2, EngineDefaultMisOverheadIndependentOfGraphSize) {
       algorithms::AtomicMisProblem problem(g, pri);
       engine::JobConfig cfg;
       cfg.seed = seed + 2;
-      const auto stats = eng.submit_relaxed(problem, pri, cfg).wait();
+      const auto stats =
+          eng.submit_relaxed_backend(problem, pri, sched::default_backend(),
+                                     cfg)
+              .wait();
       EXPECT_EQ(problem.result(), algorithms::sequential_greedy_mis(g, pri))
           << "n=" << n << " seed=" << seed;
       std::printf("engine default MIS: n=%u m=%u seed=%llu failed=%llu\n", n,
